@@ -29,16 +29,7 @@ from .ellipsoid import (
 )
 from .legacy import LegacyConfig, collide_with_world_legacy
 from .mesh import MeshParseError, ObjLoadResult, builtin_mesh, load_obj_mesh
-from .response import (
-    FrameResult,
-    ResponseConfig,
-    SweepState,
-    crease_response,
-    near_and_touch_points,
-    project_dest_one_plane,
-    sliding_plane,
-    sphere_sweep,
-)
+from .response import FrameResult, ResponseConfig, sphere_sweep
 from .scenario import (
     MeshSource,
     Scenario,
@@ -67,7 +58,6 @@ __all__ = [
     "ResponseConfig",
     "Scenario",
     "SweepHit",
-    "SweepState",
     "TrajectoryRecord",
     "Triangle",
     "Vec3",
@@ -77,18 +67,14 @@ __all__ = [
     "builtin_scenario",
     "check_collision",
     "collide_with_world_legacy",
-    "crease_response",
     "from_sphere_space",
     "load_obj_mesh",
     "load_scenario",
-    "near_and_touch_points",
     "normalize",
-    "project_dest_one_plane",
     "report",
     "robust_quadratic_roots",
     "run_scenario",
     "signed_plane_distance",
-    "sliding_plane",
     "sphere_sweep",
     "summarize",
     "sweep_unit_sphere_triangle",

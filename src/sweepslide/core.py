@@ -24,11 +24,12 @@ __all__ = [
     "dot",
     "cross",
     "norm",
-    "norm_sq",
     "distance",
     "normalize",
     "signed_plane_distance",
     "robust_quadratic_roots",
+    "check_stand_off",
+    "check_motion",
 ]
 
 Vec3 = tuple[float, float, float]
@@ -71,16 +72,31 @@ def cross(a: Vec3, b: Vec3) -> Vec3:
     )
 
 
-def norm_sq(v: Vec3) -> float:
-    return v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-
-
 def norm(v: Vec3) -> float:
     return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
 
 
 def distance(a: Vec3, b: Vec3) -> float:
     return norm(sub(a, b))
+
+
+def check_stand_off(name: str, value: float) -> None:
+    """Reject a stand-off tolerance outside ``0 < value < 0.1`` (NaN too)."""
+    if not (0.0 < value < 0.1):
+        raise ValueError(f"{name} must lie in (0, 0.1), got {value!r}")
+
+
+def check_motion(pos: Vec3, vel: Vec3) -> None:
+    """Reject a frame that no grid or quadratic can answer.
+
+    The start must be finite and so must ``vel . vel``: a NaN or infinite
+    velocity, or one so large that its square overflows, raises
+    ``ValueError`` before any query is made.
+    """
+    if not (math.isfinite(pos[0]) and math.isfinite(pos[1]) and math.isfinite(pos[2])):
+        raise ValueError(f"position must be finite, got {pos!r}")
+    if not math.isfinite(dot(vel, vel)):
+        raise ValueError(f"velocity must be finite and its squared length too, got {vel!r}")
 
 
 def normalize(v: Vec3) -> Vec3:
@@ -134,10 +150,6 @@ class Triangle:
                 f"collinear triangle vertices: {self.a!r}, {self.b!r}, {self.c!r}"
             )
         object.__setattr__(self, "normal", (n[0] / m, n[1] / m, n[2] / m))
-
-    @property
-    def plane(self) -> Plane:
-        return Plane(self.a, self.normal)
 
     def vertices(self) -> tuple[Vec3, Vec3, Vec3]:
         return (self.a, self.b, self.c)

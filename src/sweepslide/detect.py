@@ -60,7 +60,7 @@ class SweepHit:
     triangle_index: int = -1
 
 
-def point_in_triangle(p: Vec3, tri: Triangle, tol: float = BARYCENTRIC_TOLERANCE) -> bool:
+def point_in_triangle(p: Vec3, tri: Triangle) -> bool:
     """Barycentric containment test for a point already on the triangle plane."""
     v0 = sub(tri.b, tri.a)
     v1 = sub(tri.c, tri.a)
@@ -75,6 +75,7 @@ def point_in_triangle(p: Vec3, tri: Triangle, tol: float = BARYCENTRIC_TOLERANCE
         return False
     v = (d11 * d20 - d01 * d21) / denom
     w = (d00 * d21 - d01 * d20) / denom
+    tol = BARYCENTRIC_TOLERANCE
     return v >= -tol and w >= -tol and (v + w) <= 1.0 + tol
 
 

@@ -16,7 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Plane, Vec3, add, norm, normalize, scale, signed_plane_distance, sub
+from .core import (
+    Plane,
+    Vec3,
+    add,
+    check_motion,
+    check_stand_off,
+    norm,
+    normalize,
+    scale,
+    signed_plane_distance,
+    sub,
+)
 from .detect import check_collision
 from .response import FrameResult
 
@@ -37,8 +48,7 @@ class LegacyConfig:
     def __post_init__(self) -> None:
         if self.max_recursion < 1:
             raise ValueError(f"max_recursion must be >= 1: {self.max_recursion!r}")
-        if not (self.very_close_dist > 0.0):
-            raise ValueError(f"very_close_dist must be positive: {self.very_close_dist!r}")
+        check_stand_off("very_close_dist", self.very_close_dist)
 
 
 def collide_with_world_legacy(world, pos: Vec3, vel: Vec3,
@@ -47,8 +57,10 @@ def collide_with_world_legacy(world, pos: Vec3, vel: Vec3,
 
     ``iterations`` counts recursion rounds that found a collision; the
     depth cap guarantees return.  The nearest-contact distance is the
-    distance the center travels to contact, ``|vel| * t``.
+    distance the center travels to contact, ``|vel| * t``.  Non-finite
+    motion raises ``ValueError``, as in the improved response.
     """
+    check_motion(pos, vel)
     very_close = cfg.very_close_dist
     planes: list[Plane] = []
     contacts: list[int] = []

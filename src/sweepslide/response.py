@@ -21,6 +21,8 @@ from .core import (
     Plane,
     Vec3,
     add,
+    check_motion,
+    check_stand_off,
     cross,
     dot,
     norm,
@@ -33,7 +35,6 @@ from .detect import check_collision
 
 __all__ = [
     "ResponseConfig",
-    "SweepState",
     "FrameResult",
     "near_and_touch_points",
     "sliding_plane",
@@ -41,45 +42,32 @@ __all__ = [
     "crease_response",
     "sphere_sweep",
     "PARALLEL_PLANE_EPS",
+    "MIN_VELOCITY",
 ]
 
 # Two sliding planes whose normals' cross product is shorter than this are
 # treated as the same directional constraint.
 PARALLEL_PLANE_EPS = 1e-6
 
+# A divide-by-zero guard in front of the normalization of the remaining
+# velocity, not a behavioral early-out: it fires only below any physically
+# meaningful motion.
+MIN_VELOCITY = 1e-9
+
 
 @dataclass(frozen=True)
 class ResponseConfig:
-    """Tuning knobs for the response step, in unit-sphere space.
+    """Tuning of the response step, in unit-sphere space.
 
     ``very_close_dist`` is the stand-off tolerance: the sphere stops that
     far short of contacts and destinations are pushed that far off sliding
-    planes.  ``min_velocity`` is purely a divide-by-zero guard in front of
-    the normalization of the remaining velocity, not a behavioral
-    early-out; it fires only below any physically meaningful motion.
+    planes.
     """
 
     very_close_dist: float = 0.005
-    min_velocity: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.very_close_dist < 0.1):
-            raise ValueError(f"very_close_dist out of range: {self.very_close_dist!r}")
-        if self.min_velocity < 0.0:
-            raise ValueError(f"min_velocity must be >= 0: {self.min_velocity!r}")
-
-
-@dataclass
-class SweepState:
-    """The three carried movement parameters of one frame.
-
-    ``dest`` is authoritative once projected; ``vel`` and ``dest`` are both
-    kept up to date rather than re-derived from one another mid-frame.
-    """
-
-    pos: Vec3
-    vel: Vec3
-    dest: Vec3
+        check_stand_off("very_close_dist", self.very_close_dist)
 
 
 @dataclass(frozen=True)
@@ -156,32 +144,36 @@ def sphere_sweep(world, pos: Vec3, vel: Vec3,
 
     *world* is a :class:`~sweepslide.world.World` or an
     :class:`~sweepslide.ellipsoid.EllipsoidWorldView`; ``pos`` must start
-    non-penetrating.  Pure function of its arguments, safe to run
-    concurrently against a shared world.
+    non-penetrating.  Non-finite motion raises ``ValueError`` (see
+    :func:`~sweepslide.core.check_motion`).  Pure function of its
+    arguments, safe to run concurrently against a shared world.
     """
-    state = SweepState(pos=pos, vel=vel, dest=add(pos, vel))
+    check_motion(pos, vel)
+    # dest is authoritative once projected; vel and dest are both kept up to
+    # date rather than re-derived from one another mid-frame.
+    dest = add(pos, vel)
     first_plane: Plane | None = None
     planes: tuple[Plane, ...] = ()
     contacts: list[int] = []
     iterations = 0
 
     for i in range(3):
-        if norm(state.vel) <= cfg.min_velocity:
+        if norm(vel) <= MIN_VELOCITY:
             break  # nothing meaningful left to move; pos is already safe
-        hit = check_collision(world, state.pos, state.vel)
+        hit = check_collision(world, pos, vel)
         if hit is None:
-            state.pos = state.dest  # the carried target, not pos + vel
+            pos = dest  # the carried target, not pos + vel
             break
         iterations += 1
         contacts.append(hit.triangle_index)
-        touch, near = near_and_touch_points(state.pos, state.vel, hit.t, cfg)
-        state.pos = near
+        touch, near = near_and_touch_points(pos, vel, hit.t, cfg)
+        pos = near
 
         if i == 0:
             first_plane = sliding_plane(touch, hit.contact_point)
             planes = (first_plane,)
-            state.dest = project_dest_one_plane(state.dest, first_plane, cfg)
-            state.vel = sub(state.dest, state.pos)
+            dest = project_dest_one_plane(dest, first_plane, cfg)
+            vel = sub(dest, pos)
         elif i == 1:
             second_plane = sliding_plane(touch, hit.contact_point)
             if norm(cross(first_plane.normal, second_plane.normal)) <= PARALLEL_PLANE_EPS:
@@ -190,19 +182,18 @@ def sphere_sweep(world, pos: Vec3, vel: Vec3,
                 # one-plane projection is redone, avoiding a zero crease.
                 first_plane = second_plane
                 planes = (second_plane,)
-                state.dest = project_dest_one_plane(state.dest, second_plane, cfg)
-                state.vel = sub(state.dest, state.pos)
+                dest = project_dest_one_plane(dest, second_plane, cfg)
+                vel = sub(dest, pos)
             else:
                 planes = (first_plane, second_plane)
-                state.vel, state.dest = crease_response(state.dest, near, first_plane,
-                                                        second_plane)
+                vel, dest = crease_response(dest, near, first_plane, second_plane)
         # i == 2: a third contact leaves no freedom; pos has been advanced
         # to its near point and the loop simply ends there.
 
     return FrameResult(
-        final_pos=state.pos,
+        final_pos=pos,
         iterations=iterations,
         planes=planes,
         contact_indices=tuple(contacts),
-        final_vel=state.vel,
+        final_vel=vel,
     )

@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import Triangle, Vec3, distance
+from .core import Triangle, Vec3, check_stand_off, distance
 from .ellipsoid import EllipsoidRadii, EllipsoidWorldView, from_sphere_space, to_sphere_space
 from .legacy import LegacyConfig, collide_with_world_legacy
 from .mesh import builtin_mesh, load_obj_mesh
@@ -75,14 +75,12 @@ class Scenario:
     radii: EllipsoidRadii = EllipsoidRadii(1.0, 1.0, 1.0)
     algorithm: str = "improved"  # improved | legacy | both
     epsilon: float = 0.005
-    seed: int = 0
     legacy_max_recursion: int = 5
 
     def __post_init__(self) -> None:
         if self.frames < 1:
             raise ValueError(f"frames must be >= 1, got {self.frames!r}")
-        if not (self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        check_stand_off("epsilon", self.epsilon)
         if self.algorithm not in (*ALGORITHMS, "both"):
             raise ValueError(f"algorithm must be improved, legacy, or both: {self.algorithm!r}")
 
@@ -151,7 +149,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
         radii=radii,
         algorithm=str(raw.get("algorithm", "improved")),
         epsilon=float(raw.get("epsilon", 0.005)),
-        seed=int(raw.get("seed", 0)),
         legacy_max_recursion=int(raw.get("legacy_max_recursion", 5)),
     )
 
@@ -201,7 +198,6 @@ def builtin_scenario(kind: str, *, angle: float | None = None, frames: int | Non
         frames=frames if frames is not None else preset["frames"],
         algorithm=algorithm,
         epsilon=epsilon,
-        seed=seed,
         legacy_max_recursion=preset.get("legacy_max_recursion", 5),
     )
 
@@ -335,52 +331,37 @@ def report(records: list[TrajectoryRecord], fmt: str = "csv") -> str:
     Float fields use ``repr`` so identical runs produce byte-identical
     output.
     """
+    # One value per REPORT_COLUMNS entry, in its order.
+    rows = [(r.frame, *r.position, r.iterations, r.min_mesh_distance, r.displacement,
+             r.planes_hit) for r in records]
     if fmt == "csv":
         buf = StringIO()
         buf.write(",".join(REPORT_COLUMNS) + "\n")
-        for r in records:
-            buf.write(
-                f"{r.frame},{r.position[0]!r},{r.position[1]!r},{r.position[2]!r},"
-                f"{r.iterations},{r.min_mesh_distance!r},{r.displacement!r},{r.planes_hit}\n"
-            )
+        for row in rows:
+            buf.write(",".join(map(repr, row)) + "\n")
         return buf.getvalue()
     if fmt == "json":
-        rows = [
-            {
-                "frame": r.frame,
-                "x": r.position[0],
-                "y": r.position[1],
-                "z": r.position[2],
-                "iterations": r.iterations,
-                "min_mesh_distance": r.min_mesh_distance,
-                "displacement": r.displacement,
-                "planes_hit": r.planes_hit,
-            }
-            for r in records
-        ]
-        return json.dumps(rows, indent=2) + "\n"
+        return json.dumps([dict(zip(REPORT_COLUMNS, row)) for row in rows], indent=2) + "\n"
     raise ValueError(f"unknown report format {fmt!r} (use 'csv' or 'json')")
 
 
 def summarize(records: list[TrajectoryRecord], epsilon: float,
-              commanded_speeds: list[float] | None = None) -> dict:
+              commanded_speeds: list[float]) -> dict:
     """Aggregate figures for a record stream.
 
     ``jitter_count`` is the number of frames whose displacement exceeds the
     tolerance.  ``snag_count`` counts frames where motion was commanded
     (speed above ``10 * epsilon``) but the sphere barely moved (under a
-    tenth of the commanded distance) -- the sticking-on-edges symptom.
+    tenth of the commanded distance) -- the sticking-on-edges symptom;
+    ``commanded_speeds`` holds one speed per frame.
     """
-    summary = {
+    return {
         "frames": len(records),
         "max_iterations": max((r.iterations for r in records), default=0),
         "min_mesh_distance": min((r.min_mesh_distance for r in records), default=None),
         "jitter_count": sum(1 for r in records if r.displacement > epsilon),
-        "snag_count": 0,
-    }
-    if commanded_speeds is not None:
-        summary["snag_count"] = sum(
+        "snag_count": sum(
             1 for r, speed in zip(records, commanded_speeds)
             if speed > 10.0 * epsilon and r.displacement < 0.1 * speed
-        )
-    return summary
+        ),
+    }

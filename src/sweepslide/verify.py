@@ -14,8 +14,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-
-import mpmath
+from decimal import Decimal, localcontext
 
 from .core import (
     Plane,
@@ -34,7 +33,7 @@ from .detect import check_collision, closest_point_on_triangle, sweep_unit_spher
 from .ellipsoid import EllipsoidRadii, from_sphere_space, to_sphere_space
 from .legacy import LegacyConfig, collide_with_world_legacy
 from .mesh import builtin_mesh
-from .response import ResponseConfig, project_dest_one_plane, sphere_sweep
+from .response import MIN_VELOCITY, ResponseConfig, project_dest_one_plane, sphere_sweep
 from .scenario import builtin_scenario, mesh_array, min_distance_to_mesh, run_scenario
 from .world import build_world
 
@@ -207,7 +206,7 @@ def check_crease_confinement() -> CheckResult:
         if len(res.planes) == 2:
             locked = True
             speed = norm(res.final_vel)
-            if speed > cfg.min_velocity:
+            if speed > MIN_VELOCITY:
                 n1, n2 = res.planes[0].normal, res.planes[1].normal
                 vel_checks.append(max(abs(dot(res.final_vel, n1)),
                                       abs(dot(res.final_vel, n2))) / speed)
@@ -390,7 +389,8 @@ def check_quadratic_oracle(trials: int = 2000, seed: int = 17) -> CheckResult:
     rng = random.Random(seed)
     worst = 0.0
     checked = 0
-    with mpmath.workdps(50):
+    with localcontext() as ctx:
+        ctx.prec = 50
         for _ in range(trials):
             a = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
             b = 10.0 ** rng.uniform(2.0, 12.0) * rng.choice((-1.0, 1.0))
@@ -399,13 +399,13 @@ def check_quadratic_oracle(trials: int = 2000, seed: int = 17) -> CheckResult:
             if roots is None:
                 continue
             checked += 1
-            ma, mb, mc = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
-            disc = mpmath.sqrt(mb * mb - 4 * ma * mc)
+            ma, mb, mc = Decimal(a), Decimal(b), Decimal(c)
+            disc = (mb * mb - 4 * ma * mc).sqrt()
             exact = sorted([(-mb + disc) / (2 * ma), (-mb - disc) / (2 * ma)],
                            key=abs)
             small_exact = exact[0]
             small_ours = min(roots, key=abs)
-            rel = abs((mpmath.mpf(small_ours) - small_exact) / small_exact)
+            rel = abs((Decimal(small_ours) - small_exact) / small_exact)
             worst = max(worst, float(rel))
     ok = checked == trials and worst <= 1e-10
     return CheckResult(
@@ -443,7 +443,7 @@ def check_ellipsoid_roundtrip(seed: int = 23) -> CheckResult:
     )
 
 
-def run_all(trials: int = 10000, seed: int = 2024, out=print) -> list[CheckResult]:
+def run_all(trials: int = 10000, seed: int = 2024) -> list[CheckResult]:
     """Run every acceptance check, printing one PASS/FAIL line per criterion."""
     fuzz = _run_fuzz_corpus(trials, seed)
     results = [
@@ -458,9 +458,8 @@ def run_all(trials: int = 10000, seed: int = 2024, out=print) -> list[CheckResul
         check_quadratic_oracle(),
         check_ellipsoid_roundtrip(),
     ]
-    if out is not None:
-        for r in results:
-            out(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
+    for r in results:
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
     return results
 
 

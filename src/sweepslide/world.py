@@ -70,7 +70,10 @@ class World:
         """
         rx, ry, rz = self._cell_range(bounds)
         found: set[int] = set()
-        if len(rx) * len(ry) * len(rz) > len(self._cells):
+        # Python ints, not len(range): a long finite box has more cells
+        # than len() can return.
+        box_cells = (rx.stop - rx.start) * (ry.stop - ry.start) * (rz.stop - rz.start)
+        if box_cells > len(self._cells):
             # Huge query box: walking the occupied cells is cheaper.
             for (ix, iy, iz), indices in self._cells.items():
                 if ix in rx and iy in ry and iz in rz:

@@ -18,6 +18,7 @@ from sweepslide.core import (
 from sweepslide.detect import closest_point_on_triangle
 from sweepslide.mesh import builtin_mesh
 from sweepslide.response import (
+    MIN_VELOCITY,
     ResponseConfig,
     crease_response,
     near_and_touch_points,
@@ -37,8 +38,6 @@ def test_config_validation():
         ResponseConfig(very_close_dist=0.0)
     with pytest.raises(ValueError):
         ResponseConfig(very_close_dist=0.5)
-    with pytest.raises(ValueError):
-        ResponseConfig(min_velocity=-1.0)
 
 
 # --- near and touch points ---
@@ -201,7 +200,7 @@ def test_sweep_crease_velocity_confinement():
         if len(res.planes) == 2:
             saw_two_planes = True
             speed = norm(res.final_vel)
-            if speed > CFG.min_velocity:
+            if speed > MIN_VELOCITY:
                 for plane in res.planes:
                     assert abs(dot(res.final_vel, plane.normal)) <= 1e-9 * speed
     assert saw_two_planes

@@ -140,7 +140,7 @@ def test_summarize_counts():
 
 
 def test_summarize_empty():
-    summary = summarize([], epsilon=0.005)
+    summary = summarize([], epsilon=0.005, commanded_speeds=[])
     assert summary == {
         "frames": 0,
         "max_iterations": 0,

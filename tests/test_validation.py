@@ -1,0 +1,96 @@
+"""Input checks shared by both responses, the configs and the scenario loader."""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sweepslide
+from sweepslide.cli import main
+from sweepslide.legacy import LegacyConfig, collide_with_world_legacy
+from sweepslide.mesh import builtin_mesh
+from sweepslide.response import ResponseConfig, sphere_sweep
+from sweepslide.scenario import MeshSource, Scenario
+from sweepslide.world import build_world
+
+RESPONSES = [sphere_sweep, collide_with_world_legacy]
+
+
+def _floor_world():
+    return build_world(builtin_mesh("floor"))
+
+
+@pytest.mark.parametrize("respond", RESPONSES)
+@pytest.mark.parametrize("pos, vel", [
+    ((0.0, 0.0, 3.0), (math.nan, 0.0, -1.0)),
+    ((0.0, 0.0, 3.0), (math.inf, 0.0, -1.0)),
+    ((0.0, 0.0, 3.0), (1e300, 0.0, -1.0)),
+    ((0.0, math.nan, 3.0), (0.0, 0.0, -1.0)),
+])
+def test_bad_motion_raises(respond, pos, vel):
+    with pytest.raises(ValueError):
+        respond(_floor_world(), pos, vel)
+
+
+@pytest.mark.parametrize("respond", RESPONSES)
+def test_huge_finite_velocity_returns_finite_position(respond):
+    # The swept box spans ~2.5e19 grid cells, more than len() of a range allows.
+    res = respond(_floor_world(), (0.0, 0.0, 3.0), (1e20, 0.0, -1.0))
+    assert all(math.isfinite(c) for c in res.final_pos)
+
+
+def test_cli_rejects_overflowing_velocity(tmp_path, capsys):
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps({
+        "mesh": {"builtin": "floor"},
+        "start": [0.0, 0.0, 3.0],
+        "velocity": [1e300, 0.0, -1.0],
+        "frames": 1,
+    }))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def _scenario(epsilon):
+    return Scenario(name="s", mesh=MeshSource(builtin="floor"), start=(0.0, 0.0, 3.0),
+                    velocity=(0.0, 0.0, -1.0), epsilon=epsilon)
+
+
+STAND_OFF_OWNERS = [
+    lambda v: ResponseConfig(very_close_dist=v),
+    lambda v: LegacyConfig(very_close_dist=v),
+    _scenario,
+]
+
+
+@pytest.mark.parametrize("make", STAND_OFF_OWNERS)
+@pytest.mark.parametrize("value", [0.0, -1.0, 0.1, 0.5, math.nan])
+def test_stand_off_rejected(make, value):
+    with pytest.raises(ValueError):
+        make(value)
+
+
+@pytest.mark.parametrize("make", STAND_OFF_OWNERS)
+@pytest.mark.parametrize("value", [0.005, 0.099])
+def test_stand_off_accepted(make, value):
+    make(value)
+
+
+def test_runs_without_mpmath():
+    code = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "import sweepslide.cli\n"
+        "from sweepslide.verify import check_quadratic_oracle\n"
+        "assert check_quadratic_oracle().passed\n"
+    )
+    src = str(Path(sweepslide.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
