@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .core import norm
 from .scenario import (
+    ALGORITHMS,
     Scenario,
     builtin_scenario,
     load_scenario,
@@ -90,10 +91,10 @@ def main(argv: list[str] | None = None) -> int:
     p_builtin.add_argument("--angle", type=float, default=None,
                            help="dihedral angle in degrees for the corner/crease meshes")
     p_builtin.add_argument("--frames", type=int, default=None)
-    p_builtin.add_argument("--algo", choices=("improved", "legacy", "both"),
-                           default="improved")
-    p_builtin.add_argument("--epsilon", type=float, default=0.005)
-    p_builtin.add_argument("--seed", type=int, default=0)
+    # Flags left out keep the preset's values.
+    p_builtin.add_argument("--algo", choices=(*ALGORITHMS, "both"))
+    p_builtin.add_argument("--epsilon", type=float)
+    p_builtin.add_argument("--seed", type=int, help="seed of the random_soup mesh")
     p_builtin.add_argument("--out", default=None)
     p_builtin.add_argument("--format", choices=("csv", "json"), default="csv")
     p_builtin.set_defaults(func=_cmd_builtin)

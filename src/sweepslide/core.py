@@ -34,7 +34,8 @@ __all__ = [
 
 Vec3 = tuple[float, float, float]
 
-# Below this length a vector has no usable direction.
+# Below this length a vector has no usable direction, and below this sine
+# of the angle at its first vertex a triangle has no usable normal.
 DEGENERATE_LENGTH = 1e-12
 # How far a stored "unit" vector may drift from length 1.
 UNIT_TOLERANCE = 1e-9
@@ -134,7 +135,9 @@ class Triangle:
 
     Caching the normal once avoids per-query recomputation and the
     round-off drift that would come with it.  Construction rejects
-    collinear vertices.
+    collinear vertices: the sine of the angle at ``a``,
+    ``|ab x ac| / (|ab| |ac|)``, must exceed ``DEGENERATE_LENGTH``.  The
+    test is relative, so scaling a triangle never makes it degenerate.
     """
 
     a: Vec3
@@ -143,12 +146,16 @@ class Triangle:
     normal: Vec3 = field(init=False)
 
     def __post_init__(self) -> None:
-        n = cross(sub(self.b, self.a), sub(self.c, self.a))
-        m = norm(n)
-        if m <= DEGENERATE_LENGTH:
+        ab = sub(self.b, self.a)
+        ac = sub(self.c, self.a)
+        n = cross(ab, ac)
+        nn = dot(n, n)
+        # Squares on both sides: no square root for the test.
+        if nn <= DEGENERATE_LENGTH * DEGENERATE_LENGTH * dot(ab, ab) * dot(ac, ac):
             raise DegenerateTriangleError(
                 f"collinear triangle vertices: {self.a!r}, {self.b!r}, {self.c!r}"
             )
+        m = math.sqrt(nn)
         object.__setattr__(self, "normal", (n[0] / m, n[1] / m, n[2] / m))
 
     def vertices(self) -> tuple[Vec3, Vec3, Vec3]:

@@ -36,10 +36,6 @@ __all__ = [
 # claimed by neither adjacent triangle.
 BARYCENTRIC_TOLERANCE = 1e-9
 
-# Starting closer than 1 - this to a triangle counts as already touching;
-# the sweep then reports t = 0 with the nearest feature as the contact.
-CONTACT_START_BAND = 1e-6
-
 # Extra padding (beyond the unit radius) on the swept bounding box handed
 # to the broadphase.  Slack only adds candidates, never drops one.
 SWEEP_BOX_SLACK = 1e-2

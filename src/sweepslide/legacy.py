@@ -29,7 +29,7 @@ from .core import (
     sub,
 )
 from .detect import check_collision
-from .response import FrameResult
+from .response import FrameResult, ResponseConfig
 
 __all__ = ["LegacyConfig", "collide_with_world_legacy"]
 
@@ -42,7 +42,7 @@ class LegacyConfig:
     freeze; the default cap of 5 is the classic worst case.
     """
 
-    very_close_dist: float = 0.005
+    very_close_dist: float = ResponseConfig.very_close_dist
     max_recursion: int = 5
 
     def __post_init__(self) -> None:

@@ -9,9 +9,11 @@ dropped with a warning count instead of failing the whole load.
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .core import DegenerateTriangleError, Triangle, Vec3
 
@@ -143,13 +145,14 @@ def _random_soup_mesh(n: int = 50, seed: int = 0, extent: float = 10.0) -> list[
     return tris
 
 
+# Each kind's parameters and their defaults are its generator's signature.
 BUILTIN_MESHES = {
-    "floor": (_floor_mesh, {"size": 200.0}),
-    "obtuse_corner": (_corner_mesh, {"angle": 135.0, "extent": 120.0}),
-    "acute_corner": (_corner_mesh, {"angle": 5.0, "extent": 120.0}),
-    "crease": (_corner_mesh, {"angle": 90.0, "extent": 120.0}),
-    "box_room": (_box_room_mesh, {"size": 20.0}),
-    "random_soup": (_random_soup_mesh, {"n": 50, "seed": 0, "extent": 10.0}),
+    "floor": _floor_mesh,
+    "obtuse_corner": partial(_corner_mesh, angle=135.0),
+    "acute_corner": partial(_corner_mesh, angle=5.0),
+    "crease": partial(_corner_mesh, angle=90.0),
+    "box_room": _box_room_mesh,
+    "random_soup": _random_soup_mesh,
 }
 
 
@@ -162,11 +165,10 @@ def builtin_mesh(kind: str, **params) -> list[Triangle]:
     deterministic for identical parameters.
     """
     try:
-        factory, defaults = BUILTIN_MESHES[kind]
+        generator = BUILTIN_MESHES[kind]
     except KeyError:
         raise ValueError(f"unknown builtin mesh {kind!r}; known: {sorted(BUILTIN_MESHES)}") from None
-    unknown = set(params) - set(defaults)
+    unknown = set(params) - set(inspect.signature(generator).parameters)
     if unknown:
         raise ValueError(f"unknown parameters for {kind!r}: {sorted(unknown)}")
-    merged = {**defaults, **params}
-    return factory(**merged)
+    return generator(**params)

@@ -169,26 +169,21 @@ def sphere_sweep(world, pos: Vec3, vel: Vec3,
         touch, near = near_and_touch_points(pos, vel, hit.t, cfg)
         pos = near
 
-        if i == 0:
-            first_plane = sliding_plane(touch, hit.contact_point)
-            planes = (first_plane,)
-            dest = project_dest_one_plane(dest, first_plane, cfg)
+        if i == 2:
+            break  # a third contact leaves no freedom; pos is at its near point
+        plane = sliding_plane(touch, hit.contact_point)
+        if i == 1 and norm(cross(first_plane.normal, plane.normal)) > PARALLEL_PLANE_EPS:
+            planes = (first_plane, plane)
+            vel, dest = crease_response(dest, near, first_plane, plane)
+        else:
+            # The first contact, or a second with the same directional
+            # constraint (includes re-hitting the first plane): the newest
+            # contact becomes authoritative and the one-plane projection is
+            # (re)done, avoiding a zero crease.
+            first_plane = plane
+            planes = (plane,)
+            dest = project_dest_one_plane(dest, plane, cfg)
             vel = sub(dest, pos)
-        elif i == 1:
-            second_plane = sliding_plane(touch, hit.contact_point)
-            if norm(cross(first_plane.normal, second_plane.normal)) <= PARALLEL_PLANE_EPS:
-                # Same directional constraint (includes re-hitting the first
-                # plane): the newest contact becomes authoritative and the
-                # one-plane projection is redone, avoiding a zero crease.
-                first_plane = second_plane
-                planes = (second_plane,)
-                dest = project_dest_one_plane(dest, second_plane, cfg)
-                vel = sub(dest, pos)
-            else:
-                planes = (first_plane, second_plane)
-                vel, dest = crease_response(dest, near, first_plane, second_plane)
-        # i == 2: a third contact leaves no freedom; pos has been advanced
-        # to its near point and the loop simply ends there.
 
     return FrameResult(
         final_pos=pos,

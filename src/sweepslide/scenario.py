@@ -23,7 +23,7 @@ from .ellipsoid import EllipsoidRadii, EllipsoidWorldView, from_sphere_space, to
 from .legacy import LegacyConfig, collide_with_world_legacy
 from .mesh import builtin_mesh, load_obj_mesh
 from .response import ResponseConfig, sphere_sweep
-from .world import DEFAULT_CELL_SIZE, build_world
+from .world import build_world
 
 __all__ = [
     "Scenario",
@@ -74,8 +74,8 @@ class Scenario:
     frames: int = 30
     radii: EllipsoidRadii = EllipsoidRadii(1.0, 1.0, 1.0)
     algorithm: str = "improved"  # improved | legacy | both
-    epsilon: float = 0.005
-    legacy_max_recursion: int = 5
+    epsilon: float = ResponseConfig.very_close_dist
+    legacy_max_recursion: int = LegacyConfig.max_recursion
 
     def __post_init__(self) -> None:
         if self.frames < 1:
@@ -121,6 +121,7 @@ def load_scenario(path: str) -> Scenario:
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
+    """Build a scenario from the file schema; absent keys keep ``Scenario``'s defaults."""
     mesh_raw = raw.get("mesh")
     if not isinstance(mesh_raw, dict):
         raise ValueError("scenario 'mesh' must be an object with 'path' or 'builtin'")
@@ -137,69 +138,64 @@ def scenario_from_dict(raw: dict) -> Scenario:
     else:
         velocity = _vec(velocity_raw, "velocity")
 
-    radii_raw = raw.get("radii", [1.0, 1.0, 1.0])
-    radii = EllipsoidRadii(*_vec(radii_raw, "radii"))
+    optional = {"frames": int, "algorithm": str, "epsilon": float, "legacy_max_recursion": int}
+    given = {key: cast(raw[key]) for key, cast in optional.items() if key in raw}
+    if "radii" in raw:
+        given["radii"] = EllipsoidRadii(*_vec(raw["radii"], "radii"))
 
     return Scenario(
         name=str(raw.get("name", "scenario")),
         mesh=mesh,
         start=_vec(raw.get("start"), "start"),
         velocity=velocity,
-        frames=int(raw.get("frames", 30)),
-        radii=radii,
-        algorithm=str(raw.get("algorithm", "improved")),
-        epsilon=float(raw.get("epsilon", 0.005)),
-        legacy_max_recursion=int(raw.get("legacy_max_recursion", 5)),
+        **given,
     )
 
 
-# Canned scenarios around the builtin meshes.  Starting points and
-# velocities are chosen so each mesh exhibits the behavior it exists for:
-# settling on the floor, lock-up vs jitter in the obtuse corner, the
-# iteration blow-up in the acute pincer, clean sliding along the crease.
+# Canned scenarios around the builtin meshes, in the scenario-file schema.
+# Starting points and velocities are chosen so each mesh exhibits the
+# behavior it exists for: settling on the floor, lock-up vs jitter in the
+# obtuse corner, the iteration blow-up in the acute pincer, clean sliding
+# along the crease.
 _BUILTIN_SCENARIOS = {
-    "floor": dict(mesh=("floor", {}), start=(0.0, 0.0, 3.0), velocity=(0.0, 0.0, -3.0),
-                  frames=5),
-    "obtuse_corner": dict(mesh=("obtuse_corner", {}), start=(2.5, 0.0, 3.5),
-                          velocity=(-1.2, 0.0, -1.6), frames=30),
-    "acute_corner": dict(mesh=("acute_corner", {}),
-                         start=(24.0 * math.cos(math.radians(2.5)), 0.0,
-                                24.0 * math.sin(math.radians(2.5))),
-                         velocity=(-3.0, 0.0, 0.0), frames=1,
-                         legacy_max_recursion=1000),
-    "crease": dict(mesh=("crease", {"angle": 120.0}), start=(2.0, 0.0, 2.0),
-                   velocity=(-1.5, 1.0, -1.0), frames=12),
-    "box_room": dict(mesh=("box_room", {}), start=(0.0, 0.0, 0.0),
-                     velocity=(1.3, 0.7, -1.9), frames=30),
-    "random_soup": dict(mesh=("random_soup", {}), start=(0.0, 0.0, 14.0),
-                        velocity=(0.4, -0.3, -2.5), frames=20),
+    "floor": {"mesh": {"builtin": "floor"}, "start": [0.0, 0.0, 3.0],
+              "velocity": [0.0, 0.0, -3.0], "frames": 5},
+    "obtuse_corner": {"mesh": {"builtin": "obtuse_corner"}, "start": [2.5, 0.0, 3.5],
+                      "velocity": [-1.2, 0.0, -1.6], "frames": 30},
+    "acute_corner": {"mesh": {"builtin": "acute_corner"},
+                     "start": [24.0 * math.cos(math.radians(2.5)), 0.0,
+                               24.0 * math.sin(math.radians(2.5))],
+                     "velocity": [-3.0, 0.0, 0.0], "frames": 1,
+                     "legacy_max_recursion": 1000},
+    "crease": {"mesh": {"builtin": "crease", "angle": 120.0}, "start": [2.0, 0.0, 2.0],
+               "velocity": [-1.5, 1.0, -1.0], "frames": 12},
+    "box_room": {"mesh": {"builtin": "box_room"}, "start": [0.0, 0.0, 0.0],
+                 "velocity": [1.3, 0.7, -1.9], "frames": 30},
+    "random_soup": {"mesh": {"builtin": "random_soup"}, "start": [0.0, 0.0, 14.0],
+                    "velocity": [0.4, -0.3, -2.5], "frames": 20},
 }
 
 
 def builtin_scenario(kind: str, *, angle: float | None = None, frames: int | None = None,
-                     algorithm: str = "improved", epsilon: float = 0.005,
-                     seed: int = 0) -> Scenario:
-    """A ready-to-run scenario around one of the builtin meshes."""
+                     algorithm: str | None = None, epsilon: float | None = None,
+                     seed: int | None = None) -> Scenario:
+    """A ready-to-run scenario around one of the builtin meshes.
+
+    An argument left at ``None`` keeps the preset.  ``angle`` and ``seed``
+    are mesh parameters: a mesh without them fails to load.
+    """
     try:
         preset = _BUILTIN_SCENARIOS[kind]
     except KeyError:
         raise ValueError(f"no builtin scenario {kind!r}; known: {sorted(_BUILTIN_SCENARIOS)}") from None
-    mesh_kind, params = preset["mesh"]
-    params = dict(params)
-    if angle is not None:
-        params["angle"] = angle
-    if mesh_kind == "random_soup":
-        params["seed"] = seed
-    return Scenario(
-        name=kind,
-        mesh=MeshSource(builtin=mesh_kind, params=params),
-        start=preset["start"],
-        velocity=preset["velocity"],
-        frames=frames if frames is not None else preset["frames"],
-        algorithm=algorithm,
-        epsilon=epsilon,
-        legacy_max_recursion=preset.get("legacy_max_recursion", 5),
-    )
+    raw = {**preset, "name": kind, "mesh": dict(preset["mesh"])}
+    for key, value in (("frames", frames), ("algorithm", algorithm), ("epsilon", epsilon)):
+        if value is not None:
+            raw[key] = value
+    for key, value in (("angle", angle), ("seed", seed)):
+        if value is not None:
+            raw["mesh"][key] = value
+    return scenario_from_dict(raw)
 
 
 def mesh_array(triangles: list[Triangle]) -> np.ndarray:
@@ -281,7 +277,7 @@ def run_scenario(scenario: Scenario) -> dict[str, list[TrajectoryRecord]]:
     mesh.
     """
     triangles = scenario.mesh.load()
-    world = build_world(triangles, DEFAULT_CELL_SIZE)
+    world = build_world(triangles)
     radii = scenario.radii
     sphere_tris = mesh_array(triangles) / np.array(radii.as_tuple())[None, None, :]
 

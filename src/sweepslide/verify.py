@@ -37,7 +37,7 @@ from .response import MIN_VELOCITY, ResponseConfig, project_dest_one_plane, sphe
 from .scenario import builtin_scenario, mesh_array, min_distance_to_mesh, run_scenario
 from .world import build_world
 
-__all__ = ["CheckResult", "run_all", "CHECKS"]
+__all__ = ["CheckResult", "run_all"]
 
 
 @dataclass(frozen=True)
@@ -187,21 +187,19 @@ def check_jitter() -> CheckResult:
 # --- criterion 5: crease confinement ---
 
 def check_crease_confinement() -> CheckResult:
-    angle = 120.0
-    tris = builtin_mesh("crease", angle=angle)
-    world = build_world(tris)
-    cfg = ResponseConfig()
-    rad = math.radians(angle)
+    scenario = builtin_scenario("crease")
+    world = build_world(scenario.mesh.load())
+    cfg = ResponseConfig(very_close_dist=scenario.epsilon)
+    rad = math.radians(scenario.mesh.params["angle"])
     plane_a = Plane((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
     plane_b = Plane((0.0, 0.0, 0.0), (math.sin(rad), 0.0, -math.cos(rad)))
 
-    pos = (2.0, 0.0, 2.0)
-    vel = (-1.5, 1.0, -1.0)
+    pos = scenario.start
     vel_checks = []
     dists = []
     locked = False
-    for _ in range(12):
-        res = sphere_sweep(world, pos, vel, cfg)
+    for frame in range(scenario.frames):
+        res = sphere_sweep(world, pos, scenario.velocity_for_frame(frame), cfg)
         pos = res.final_pos
         if len(res.planes) == 2:
             locked = True
@@ -462,16 +460,3 @@ def run_all(trials: int = 10000, seed: int = 2024) -> list[CheckResult]:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
     return results
 
-
-CHECKS = {
-    "iteration-bounds": "improved <= 3 iterations, legacy <= 5, on the fuzz corpus",
-    "no-penetration": "improved never ends a frame closer than 1 to the mesh",
-    "freeze-reproduction": "legacy spins >= 100 iterations in a 5 deg pincer",
-    "jitter-reproduction": "legacy keeps bouncing in an obtuse corner, improved settles",
-    "crease-confinement": "two-plane velocity lies along the crease",
-    "one-plane-projection": "projected destinations sit exactly 1+eps off the plane",
-    "detection-oracle": "swept contact times match bisection on the distance field",
-    "broadphase-soundness": "grid candidates reproduce the full scan exactly",
-    "quadratic-robustness": "small roots survive catastrophic cancellation",
-    "ellipsoid-roundtrip": "ellipsoid queries scale in and out losslessly",
-}

@@ -32,6 +32,22 @@ def triangle_bounds(tri: Triangle) -> Bounds:
     )
 
 
+def _cell_range(bounds: Bounds, cell_size: float) -> tuple[range, range, range]:
+    """The grid cells a box touches.
+
+    Building and querying both map boxes to cells here: the grid is sound
+    only because the two use the same mapping.
+    """
+    lo, hi = bounds
+    # floor, not int(): truncation toward zero is wrong for negative
+    # coordinates and would silently drop cells on that side.
+    return (
+        range(math.floor(lo[0] / cell_size), math.floor(hi[0] / cell_size) + 1),
+        range(math.floor(lo[1] / cell_size), math.floor(hi[1] / cell_size) + 1),
+        range(math.floor(lo[2] / cell_size), math.floor(hi[2] / cell_size) + 1),
+    )
+
+
 def _bounds_overlap(a: Bounds, b: Bounds) -> bool:
     return (
         a[0][0] <= b[1][0] and a[1][0] >= b[0][0]
@@ -51,24 +67,13 @@ class World:
         self.cell_size = cell_size
         self._cells = cells
 
-    def _cell_range(self, bounds: Bounds) -> tuple[range, range, range]:
-        lo, hi = bounds
-        cs = self.cell_size
-        # floor, not int(): truncation toward zero is wrong for negative
-        # coordinates and would silently drop cells on that side.
-        return (
-            range(math.floor(lo[0] / cs), math.floor(hi[0] / cs) + 1),
-            range(math.floor(lo[1] / cs), math.floor(hi[1] / cs) + 1),
-            range(math.floor(lo[2] / cs), math.floor(hi[2] / cs) + 1),
-        )
-
     def query_candidates(self, bounds: Bounds) -> list[int]:
         """Indices of every triangle that might overlap *bounds*.
 
         Guaranteed a superset of the exact AABB-overlap set; deduplicated
         and ascending.
         """
-        rx, ry, rz = self._cell_range(bounds)
+        rx, ry, rz = _cell_range(bounds, self.cell_size)
         found: set[int] = set()
         # Python ints, not len(range): a long finite box has more cells
         # than len() can return.
@@ -113,16 +118,10 @@ def build_world(triangles: Sequence[Triangle], cell_size: float = DEFAULT_CELL_S
     cells: dict[tuple[int, int, int], list[int]] = {}
     tris = tuple(triangles)
     for index, tri in enumerate(tris):
-        lo, hi = triangle_bounds(tri)
-        x0 = math.floor(lo[0] / cell_size)
-        x1 = math.floor(hi[0] / cell_size)
-        y0 = math.floor(lo[1] / cell_size)
-        y1 = math.floor(hi[1] / cell_size)
-        z0 = math.floor(lo[2] / cell_size)
-        z1 = math.floor(hi[2] / cell_size)
-        for ix in range(x0, x1 + 1):
-            for iy in range(y0, y1 + 1):
-                for iz in range(z0, z1 + 1):
+        rx, ry, rz = _cell_range(triangle_bounds(tri), cell_size)
+        for ix in rx:
+            for iy in ry:
+                for iz in rz:
                     cells.setdefault((ix, iy, iz), []).append(index)
     # Appending in index order already leaves each bucket sorted ascending.
     return World(tris, cell_size, cells)

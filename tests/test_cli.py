@@ -73,6 +73,13 @@ def test_unknown_builtin_errors(capsys):
     assert "no builtin scenario" in capsys.readouterr().err
 
 
+def test_seed_is_a_mesh_parameter(capsys):
+    # Only random_soup has a seed; elsewhere it fails like any unknown parameter.
+    assert main(["builtin", "floor", "--seed", "3"]) == 2
+    assert "unknown parameters for 'floor': ['seed']" in capsys.readouterr().err
+    assert main(["builtin", "random_soup", "--seed", "3", "--frames", "1"]) == 0
+
+
 def test_missing_scenario_file_errors(capsys):
     assert main(["run", "/does/not/exist.json"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -85,8 +85,18 @@ def test_triangle_normal_cached():
 
 
 def test_triangle_rejects_collinear():
-    with pytest.raises(DegenerateTriangleError):
-        Triangle((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0))
+    o, p, q = (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0)
+    # Collinear at any scale, and every way of repeating a vertex.
+    for a, b, c in ((o, p, q), (o, scale(p, 1e-9), scale(q, 1e-9)),
+                    (o, o, q), (o, p, o), (o, p, p)):
+        with pytest.raises(DegenerateTriangleError):
+            Triangle(a, b, c)
+
+
+@pytest.mark.parametrize("size", [1e-9, 1e-7, 1.0, 1e6])
+def test_triangle_degeneracy_is_scale_invariant(size):
+    tri = Triangle((0.0, 0.0, 0.0), (size, 0.0, 0.0), (0.0, size, 0.0))
+    assert tri.normal == (0.0, 0.0, 1.0)
 
 
 # --- quadratic solver ---

@@ -152,8 +152,27 @@ def test_random_soup_stays_in_extent():
                 assert abs(comp) <= extent + extent / 4.0 + 1e-9
 
 
-def test_unknown_builtin_and_params_rejected():
+def test_unknown_builtin_rejected():
     with pytest.raises(ValueError, match="unknown builtin"):
         builtin_mesh("donut")
-    with pytest.raises(ValueError, match="unknown parameters"):
-        builtin_mesh("floor", angle=5.0)
+
+
+# Each kind with a parameter that another kind has and it lacks.
+@pytest.mark.parametrize("kind, param", [
+    ("floor", "angle"), ("obtuse_corner", "size"), ("acute_corner", "seed"),
+    ("crease", "n"), ("box_room", "extent"), ("random_soup", "angle"),
+])
+def test_unknown_params_rejected(kind, param):
+    with pytest.raises(ValueError, match=f"unknown parameters for '{kind}'"):
+        builtin_mesh(kind, **{param: 5.0})
+
+
+def test_corner_presets_take_overrides():
+    # A preset's angle is only a default: obtuse_corner at 100 degrees is
+    # the crease at 100 degrees, and acute_corner keeps its 5 degrees when
+    # only the extent changes.
+    assert builtin_mesh("obtuse_corner", angle=100.0) == builtin_mesh("crease", angle=100.0)
+    assert builtin_mesh("acute_corner", extent=50.0) == builtin_mesh("crease", angle=5.0,
+                                                                      extent=50.0)
+    for tri in builtin_mesh("acute_corner", extent=50.0):
+        assert max(abs(c) for v in tri.vertices() for c in v) <= 50.0

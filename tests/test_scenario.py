@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +174,19 @@ def test_load_scenario_roundtrip(tmp_path):
     assert sc.mesh.params == {"size": 50.0}
     records = run_scenario(sc)["improved"]
     assert abs(records[-1].position[2] - 1.005) <= 1e-6
+
+
+def test_readme_scenario_example_runs(tmp_path):
+    # The README's schema example is a scenario file this parser accepts.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "example.json"
+    path.write_text(example)
+    sc = load_scenario(str(path))
+    assert sc.frames == 12 and sc.epsilon == 0.005 and sc.legacy_max_recursion == 5
+    records = run_scenario(sc)[sc.algorithm]
+    assert len(records) == sc.frames
+    assert min(r.min_mesh_distance for r in records) >= 1.0 - 1e-6
 
 
 def test_scenario_from_dict_velocity_list():

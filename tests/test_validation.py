@@ -11,10 +11,12 @@ import pytest
 
 import sweepslide
 from sweepslide.cli import main
+from sweepslide.core import Triangle
+from sweepslide.ellipsoid import EllipsoidRadii, EllipsoidWorldView
 from sweepslide.legacy import LegacyConfig, collide_with_world_legacy
 from sweepslide.mesh import builtin_mesh
 from sweepslide.response import ResponseConfig, sphere_sweep
-from sweepslide.scenario import MeshSource, Scenario
+from sweepslide.scenario import MeshSource, Scenario, mesh_array, min_distance_to_mesh
 from sweepslide.world import build_world
 
 RESPONSES = [sphere_sweep, collide_with_world_legacy]
@@ -41,6 +43,17 @@ def test_huge_finite_velocity_returns_finite_position(respond):
     # The swept box spans ~2.5e19 grid cells, more than len() of a range allows.
     res = respond(_floor_world(), (0.0, 0.0, 3.0), (1e20, 0.0, -1.0))
     assert all(math.isfinite(c) for c in res.final_pos)
+
+
+def test_tiny_triangle_seen_through_large_radii():
+    # 1e-5 edges become 1e-7 in sphere space: still a triangle, not degenerate.
+    tri = Triangle((0.0, 0.0, 0.0), (1e-5, 0.0, 0.0), (0.0, 1e-5, 0.0))
+    radii = EllipsoidRadii(100.0, 100.0, 100.0)
+    res = sphere_sweep(EllipsoidWorldView(build_world([tri]), radii),
+                       (0.0, 0.0, 1.5), (0.0, 0.0, -1.0))
+    assert all(math.isfinite(c) for c in res.final_pos)
+    sphere_tris = mesh_array([tri]) / 100.0
+    assert min_distance_to_mesh(res.final_pos, sphere_tris) >= 1.0 - 1e-6
 
 
 def test_cli_rejects_overflowing_velocity(tmp_path, capsys):
