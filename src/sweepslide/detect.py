@@ -37,7 +37,8 @@ __all__ = [
 BARYCENTRIC_TOLERANCE = 1e-9
 
 # Extra padding (beyond the unit radius) on the swept bounding box handed
-# to the broadphase.  Slack only adds candidates, never drops one.
+# to the broadphase, and on the plane slab the world filters with.  Slack
+# only adds candidates, never drops one.
 SWEEP_BOX_SLACK = 1e-2
 
 
@@ -205,19 +206,18 @@ def sweep_unit_sphere_triangle(source: Vec3, vel: Vec3, tri: Triangle) -> SweepH
     return SweepHit(best_t, best_point)
 
 
-def sweep_bounds(source: Vec3, vel: Vec3) -> tuple[Vec3, Vec3]:
+def sweep_bounds(start: Vec3, end: Vec3) -> tuple[Vec3, Vec3]:
     """Axis-aligned box around the whole swept sphere, with slack."""
     pad = 1.0 + SWEEP_BOX_SLACK
-    end = add(source, vel)
     lo = (
-        min(source[0], end[0]) - pad,
-        min(source[1], end[1]) - pad,
-        min(source[2], end[2]) - pad,
+        min(start[0], end[0]) - pad,
+        min(start[1], end[1]) - pad,
+        min(start[2], end[2]) - pad,
     )
     hi = (
-        max(source[0], end[0]) + pad,
-        max(source[1], end[1]) + pad,
-        max(source[2], end[2]) + pad,
+        max(start[0], end[0]) + pad,
+        max(start[1], end[1]) + pad,
+        max(start[2], end[2]) + pad,
     )
     return lo, hi
 
@@ -225,13 +225,17 @@ def sweep_bounds(source: Vec3, vel: Vec3) -> tuple[Vec3, Vec3]:
 def check_collision(world, source: Vec3, vel: Vec3) -> SweepHit | None:
     """Earliest contact over all broadphase candidates of *world*.
 
-    *world* is anything with a ``candidates(bounds)`` method yielding
-    ``(index, Triangle)`` pairs in ascending index order (a ``World`` or an
-    ``EllipsoidWorldView``).  Ties at identical t go to the smaller index,
-    which iteration order plus the strict comparison provides.
+    *world* is anything with a ``candidates(bounds, start, end)`` method
+    (a ``World`` or an ``EllipsoidWorldView``) returning ``(index,
+    Triangle)`` pairs in ascending index order.  It is handed the sweep's
+    padded box and its two endpoints, and may leave out any triangle the
+    sweep provably cannot touch, but no other.  Ties at identical t go to
+    the smaller index, which iteration order plus the strict comparison
+    provides.
     """
+    end = add(source, vel)
     best: SweepHit | None = None
-    for index, tri in world.candidates(sweep_bounds(source, vel)):
+    for index, tri in world.candidates(sweep_bounds(source, end), source, end):
         hit = sweep_unit_sphere_triangle(source, vel, tri)
         if hit is not None and (best is None or hit.t < best.t):
             best = replace(hit, triangle_index=index)

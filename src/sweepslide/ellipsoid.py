@@ -9,7 +9,6 @@ supported, which keeps the transform exactly invertible componentwise.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import Triangle, Vec3
@@ -71,12 +70,13 @@ def triangle_to_sphere_space(tri: Triangle, radii: EllipsoidRadii) -> Triangle:
 class EllipsoidWorldView:
     """Sphere-space window onto a world-space :class:`World`.
 
-    Broadphase queries arrive in sphere space, are mapped back to world
-    space for the grid (positive radii preserve min/max ordering), and the
-    candidate triangles are scaled on demand.  The underlying world stays
-    untouched, so one world can be shared by entities with different
-    radii; each entity should use its own view (the transform cache is not
-    locked).
+    Broadphase queries arrive in sphere space.  Their box is mapped back to
+    world space for the grid and the box filter (positive radii preserve
+    min/max ordering), the plane-slab filter runs in sphere space from the
+    world's own arrays, and only the surviving triangles are scaled, on
+    demand.  The underlying world stays untouched, so one world can be
+    shared by entities with different radii; each entity should use its
+    own view (the transform cache is not locked).
     """
 
     __slots__ = ("world", "radii", "_cache")
@@ -86,16 +86,18 @@ class EllipsoidWorldView:
         self.radii = radii
         self._cache: dict[int, Triangle] = {}
 
-    def candidates(self, bounds: tuple[Vec3, Vec3]) -> Iterator[tuple[int, Triangle]]:
+    def candidates(self, bounds: tuple[Vec3, Vec3], start: Vec3,
+                   end: Vec3) -> list[tuple[int, Triangle]]:
         lo, hi = bounds
         world_bounds = (from_sphere_space(lo, self.radii), from_sphere_space(hi, self.radii))
         if self.radii.is_unit:
-            yield from self.world.candidates(world_bounds)
-            return
+            return self.world.candidates(world_bounds, start, end)
         cache = self._cache
-        for index in self.world.query_candidates(world_bounds):
+        out = []
+        for index in self.world.sweep_indices(world_bounds, start, end, self.radii.as_tuple()):
             tri = cache.get(index)
             if tri is None:
                 tri = triangle_to_sphere_space(self.world.triangles[index], self.radii)
                 cache[index] = tri
-            yield index, tri
+            out.append((index, tri))
+        return out

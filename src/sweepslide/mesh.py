@@ -166,9 +166,16 @@ def builtin_mesh(kind: str, **params) -> list[Triangle]:
     """
     try:
         generator = BUILTIN_MESHES[kind]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown builtin mesh {kind!r}; known: {sorted(BUILTIN_MESHES)}") from None
-    unknown = set(params) - set(inspect.signature(generator).parameters)
+    parameters = inspect.signature(generator).parameters
+    unknown = set(params) - set(parameters)
     if unknown:
         raise ValueError(f"unknown parameters for {kind!r}: {sorted(unknown)}")
+    for name, value in params.items():
+        # Every parameter's default is an int or a float; a float takes an int too.
+        expected = type(parameters[name].default)
+        if isinstance(value, bool) or not isinstance(value, (int, expected)):
+            raise ValueError(f"parameter {name!r} of {kind!r} must be {expected.__name__}, "
+                             f"got {value!r}")
     return generator(**params)

@@ -107,10 +107,19 @@ class TrajectoryRecord:
     planes_hit: int
 
 
+def _cast(value, cast, what: str):
+    """``cast(value)``, with a wrong type reported as ``ValueError``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be {cast.__name__}, got {value!r}") from None
+
+
 def _vec(value, what: str) -> Vec3:
     if not (isinstance(value, (list, tuple)) and len(value) == 3):
         raise ValueError(f"{what} must be a 3-element list, got {value!r}")
-    return (float(value[0]), float(value[1]), float(value[2]))
+    return (_cast(value[0], float, what), _cast(value[1], float, what),
+            _cast(value[2], float, what))
 
 
 def load_scenario(path: str) -> Scenario:
@@ -126,6 +135,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if not isinstance(mesh_raw, dict):
         raise ValueError("scenario 'mesh' must be an object with 'path' or 'builtin'")
     if "path" in mesh_raw:
+        if not isinstance(mesh_raw["path"], str):
+            raise ValueError(f"mesh 'path' must be a string, got {mesh_raw['path']!r}")
         mesh = MeshSource(path=mesh_raw["path"])
     else:
         params = {k: v for k, v in mesh_raw.items() if k != "builtin"}
@@ -139,7 +150,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         velocity = _vec(velocity_raw, "velocity")
 
     optional = {"frames": int, "algorithm": str, "epsilon": float, "legacy_max_recursion": int}
-    given = {key: cast(raw[key]) for key, cast in optional.items() if key in raw}
+    given = {key: _cast(raw[key], cast, key) for key, cast in optional.items() if key in raw}
     if "radii" in raw:
         given["radii"] = EllipsoidRadii(*_vec(raw["radii"], "radii"))
 

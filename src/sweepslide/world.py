@@ -4,20 +4,34 @@ Each triangle is registered in every grid cell its bounding box overlaps,
 so a box query over the touched cells can never miss an overlapping
 triangle.  The hash is sparse (a dict keyed by integer cell coordinates)
 because worlds may be spatially large and mostly empty.
+
+The world also keeps every triangle's box and plane as float64 arrays, so
+the grid's answer to a sweep can be cut down with two vectorised filters
+before any triangle reaches the scalar narrowphase.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
+from itertools import chain
+
+import numpy as np
 
 from .core import Triangle, Vec3
+from .detect import SWEEP_BOX_SLACK
 
 __all__ = ["World", "build_world", "triangle_bounds", "DEFAULT_CELL_SIZE"]
 
 # A few sphere radii per cell keeps candidate lists short for game-like
 # meshes without exploding the number of cells a large triangle spans.
 DEFAULT_CELL_SIZE = 4.0
+
+# A sweep whose two endpoints both lie farther than this from a triangle's
+# plane, on the same side, cannot touch it: the plane distance is linear
+# along the sweep.  The slack absorbs the rounding between the filter's
+# arithmetic and the narrowphase's.
+SLAB_MARGIN = 1.0 + SWEEP_BOX_SLACK
 
 Bounds = tuple[Vec3, Vec3]
 
@@ -33,10 +47,10 @@ def triangle_bounds(tri: Triangle) -> Bounds:
 
 
 def _cell_range(bounds: Bounds, cell_size: float) -> tuple[range, range, range]:
-    """The grid cells a box touches.
+    """The grid cells a query box touches.
 
-    Building and querying both map boxes to cells here: the grid is sound
-    only because the two use the same mapping.
+    ``build_world`` maps triangle boxes with :func:`_cell_coords`, the same
+    division and floor: the grid is sound only because the two agree.
     """
     lo, hi = bounds
     # floor, not int(): truncation toward zero is wrong for negative
@@ -48,24 +62,45 @@ def _cell_range(bounds: Bounds, cell_size: float) -> tuple[range, range, range]:
     )
 
 
-def _bounds_overlap(a: Bounds, b: Bounds) -> bool:
-    return (
-        a[0][0] <= b[1][0] and a[1][0] >= b[0][0]
-        and a[0][1] <= b[1][1] and a[1][1] >= b[0][1]
-        and a[0][2] <= b[1][2] and a[1][2] >= b[0][2]
-    )
+def _cell_coords(coords: np.ndarray, cell_size: float) -> list[list[int]]:
+    """``math.floor(x / cell_size)`` for every entry, as Python ints, column by column.
+
+    Three long lists rather than one short list per row: each list is an
+    object the garbage collector tracks.
+    """
+    cells = np.floor(coords.T / cell_size)
+    if not (np.abs(cells).max(initial=0.0) < 2.0 ** 62):
+        # Beyond int64 (or not finite): convert one by one, exactly as
+        # math.floor would, errors included.
+        return [[int(v) for v in column] for column in cells.tolist()]
+    return cells.astype(np.int64).tolist()
+
+
+def _overlap_column(bounds: Bounds) -> np.ndarray:
+    """A query box as the column ``(hi, -lo)``: see :class:`World`."""
+    lo, hi = bounds
+    return np.array((*hi, -lo[0], -lo[1], -lo[2]))[:, None]
 
 
 class World:
-    """Immutable triangle soup plus its grid; build once, query anywhere."""
+    """Immutable triangle soup plus its grid; build once, query anywhere.
 
-    __slots__ = ("triangles", "cell_size", "_cells")
+    Column ``i`` of ``_boxes`` is triangle ``i``'s box as ``(lo, -hi)``,
+    so one ``<=`` against ``(hi, -lo)`` of a query box is the inclusive
+    overlap test.  Column ``i`` of ``_planes`` is ``(n, -n.a)``, so
+    ``(p, 1)`` times it is the signed distance of ``p`` from the plane.
+    """
+
+    __slots__ = ("triangles", "cell_size", "_cells", "_boxes", "_planes")
 
     def __init__(self, triangles: tuple[Triangle, ...], cell_size: float,
-                 cells: dict[tuple[int, int, int], list[int]]):
+                 cells: dict[tuple[int, int, int], list[int]],
+                 boxes: np.ndarray, planes: np.ndarray):
         self.triangles = triangles
         self.cell_size = cell_size
         self._cells = cells
+        self._boxes = boxes
+        self._planes = planes
 
     def query_candidates(self, bounds: Bounds) -> list[int]:
         """Indices of every triangle that might overlap *bounds*.
@@ -93,18 +128,44 @@ class World:
                             found.update(bucket)
         return sorted(found)
 
-    def candidates(self, bounds: Bounds) -> Iterator[tuple[int, Triangle]]:
-        """``(index, triangle)`` pairs for ``query_candidates(bounds)``."""
+    def sweep_indices(self, bounds: Bounds, start: Vec3, end: Vec3,
+                      radii: Vec3 | None = None) -> list[int]:
+        """Ascending indices of the triangles a sweep from *start* to *end* may touch.
+
+        *bounds* is the sweep's box.  Of ``query_candidates(bounds)`` this
+        keeps the triangles whose box overlaps *bounds* (inclusive) and
+        drops those whose plane both endpoints clear by more than
+        ``SLAB_MARGIN`` on the same side.  With *radii*, *bounds* is in
+        world space while *start* and *end* are in the sphere space of an
+        ellipsoid with those semi-axes: there the plane ``n.x = n.a`` is
+        ``(n*r).p = n.a``, so the margin is scaled by ``|n*r|``.
+        """
+        found = self.query_candidates(bounds)
+        if not found:
+            return found
+        found = np.fromiter(found, dtype=np.intp, count=len(found))
+        boxes = self._boxes.take(found, axis=1)
+        planes = self._planes.take(found, axis=1)
+        margin = SLAB_MARGIN
+        if radii is not None:
+            rx, ry, rz = radii
+            start = (start[0] * rx, start[1] * ry, start[2] * rz)
+            end = (end[0] * rx, end[1] * ry, end[2] * rz)
+            margin = SLAB_MARGIN * np.sqrt(np.dot((rx * rx, ry * ry, rz * rz), planes[:3] ** 2))
+        dist = np.dot(((*start, 1.0), (*end, 1.0)), planes)
+        keep = ((boxes <= _overlap_column(bounds)).all(axis=0)
+                & (np.minimum(dist[0], dist[1]) <= margin)
+                & (np.maximum(dist[0], dist[1]) >= -margin))
+        return found[keep].tolist()
+
+    def candidates(self, bounds: Bounds, start: Vec3, end: Vec3) -> list[tuple[int, Triangle]]:
+        """``(index, triangle)`` pairs for ``sweep_indices(bounds, start, end)``."""
         triangles = self.triangles
-        for index in self.query_candidates(bounds):
-            yield index, triangles[index]
+        return [(index, triangles[index]) for index in self.sweep_indices(bounds, start, end)]
 
     def brute_force_indices(self, bounds: Bounds) -> list[int]:
         """Exact AABB-overlap scan of every triangle; the grid-free reference."""
-        return [
-            i for i, tri in enumerate(self.triangles)
-            if _bounds_overlap(triangle_bounds(tri), bounds)
-        ]
+        return np.flatnonzero((self._boxes <= _overlap_column(bounds)).all(axis=0)).tolist()
 
 
 def build_world(triangles: Sequence[Triangle], cell_size: float = DEFAULT_CELL_SIZE) -> World:
@@ -115,13 +176,22 @@ def build_world(triangles: Sequence[Triangle], cell_size: float = DEFAULT_CELL_S
     """
     if not (cell_size > 0.0):
         raise ValueError(f"cell_size must be positive, got {cell_size!r}")
-    cells: dict[tuple[int, int, int], list[int]] = {}
     tris = tuple(triangles)
-    for index, tri in enumerate(tris):
-        rx, ry, rz = _cell_range(triangle_bounds(tri), cell_size)
-        for ix in rx:
-            for iy in ry:
-                for iz in rz:
+    count = len(tris)
+    # One flat pass over the triangles' a, b, c and normal.
+    flat = np.fromiter(chain.from_iterable(chain(t.a, t.b, t.c, t.normal) for t in tris),
+                       dtype=np.float64, count=12 * count).reshape(count, 4, 3)
+    lo = flat[:, :3].min(axis=1)
+    hi = flat[:, :3].max(axis=1)
+    normal, a = flat[:, 3], flat[:, 0]
+    offset = normal[:, 0] * a[:, 0] + normal[:, 1] * a[:, 1] + normal[:, 2] * a[:, 2]
+    cells: dict[tuple[int, int, int], list[int]] = {}
+    for index, x0, y0, z0, x1, y1, z1 in zip(
+            range(count), *_cell_coords(lo, cell_size), *_cell_coords(hi, cell_size)):
+        for ix in range(x0, x1 + 1):
+            for iy in range(y0, y1 + 1):
+                for iz in range(z0, z1 + 1):
                     cells.setdefault((ix, iy, iz), []).append(index)
     # Appending in index order already leaves each bucket sorted ascending.
-    return World(tris, cell_size, cells)
+    return World(tris, cell_size, cells, np.hstack((lo, -hi)).T.copy(),
+                 np.column_stack((normal, -offset)).T.copy())

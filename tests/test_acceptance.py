@@ -1,63 +1,55 @@
 """Acceptance suite: one test per criterion, each printing its PASS/FAIL line.
 
-Criteria 1 and 2 share one 10,000-frame fuzz corpus, built once per
-session.  Run with ``pytest -s tests/test_acceptance.py`` to see the
-per-criterion lines; the same checks back the ``sweepslide verify``
-command.
+All ten read the same ``sweepslide verify`` run (10,000 fuzzed frames,
+seed 2024), made once per session by the ``verify_run`` fixture in
+``conftest.py``.  Run with ``pytest -s tests/test_acceptance.py`` to see
+the per-criterion lines.
 """
 
-import pytest
 
-from sweepslide import verify as V
-
-FUZZ_TRIALS = 10_000
-
-
-@pytest.fixture(scope="module")
-def fuzz_corpus():
-    return V._run_fuzz_corpus(FUZZ_TRIALS, seed=2024)
+def _report(verify_run, name: str):
+    _, out = verify_run
+    lines = [line for line in out.splitlines() if line.split(" ", 2)[1:2] == [f"{name}:"]]
+    assert len(lines) == 1, out
+    print(lines[0])
+    assert lines[0].startswith("PASS "), lines[0]
 
 
-def _report(result: V.CheckResult):
-    print(f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}")
-    assert result.passed, result.detail
+def test_criterion_01_iteration_bounds(verify_run):
+    _report(verify_run, "iteration-bounds")
 
 
-def test_criterion_01_iteration_bounds(fuzz_corpus):
-    _report(V.check_iteration_bounds(fuzz_corpus))
+def test_criterion_02_no_penetration(verify_run):
+    _report(verify_run, "no-penetration")
 
 
-def test_criterion_02_no_penetration(fuzz_corpus):
-    _report(V.check_no_penetration(fuzz_corpus))
+def test_criterion_03_freeze_reproduction(verify_run):
+    _report(verify_run, "freeze-reproduction")
 
 
-def test_criterion_03_freeze_reproduction():
-    _report(V.check_freeze())
+def test_criterion_04_jitter_reproduction(verify_run):
+    _report(verify_run, "jitter-reproduction")
 
 
-def test_criterion_04_jitter_reproduction():
-    _report(V.check_jitter())
+def test_criterion_05_crease_confinement(verify_run):
+    _report(verify_run, "crease-confinement")
 
 
-def test_criterion_05_crease_confinement():
-    _report(V.check_crease_confinement())
+def test_criterion_06_one_plane_projection(verify_run):
+    _report(verify_run, "one-plane-projection")
 
 
-def test_criterion_06_one_plane_projection():
-    _report(V.check_one_plane_projection())
+def test_criterion_07_detection_oracle(verify_run):
+    _report(verify_run, "detection-oracle")
 
 
-def test_criterion_07_detection_oracle():
-    _report(V.check_detection_oracle())
+def test_criterion_08_broadphase_soundness(verify_run):
+    _report(verify_run, "broadphase-soundness")
 
 
-def test_criterion_08_broadphase_soundness():
-    _report(V.check_broadphase())
+def test_criterion_09_quadratic_robustness(verify_run):
+    _report(verify_run, "quadratic-robustness")
 
 
-def test_criterion_09_quadratic_robustness():
-    _report(V.check_quadratic_oracle())
-
-
-def test_criterion_10_ellipsoid_roundtrip():
-    _report(V.check_ellipsoid_roundtrip())
+def test_criterion_10_ellipsoid_roundtrip(verify_run):
+    _report(verify_run, "ellipsoid-roundtrip")

@@ -85,10 +85,10 @@ def test_missing_scenario_file_errors(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_verify_subcommand_passes(capsys):
-    # reduced trial count: the full corpus runs in test_acceptance
-    assert main(["verify", "--trials", "300"]) == 0
-    out = capsys.readouterr().out
+def test_verify_subcommand_passes(verify_run):
+    # The session's one verify run, which test_acceptance also reads.
+    code, out = verify_run
+    assert code == 0
     assert out.count("PASS") == 10
     assert "FAIL" not in out
     assert "10/10 checks passed" in out

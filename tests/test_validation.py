@@ -70,6 +70,38 @@ def test_cli_rejects_overflowing_velocity(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("change", [
+    {"frames": None},
+    {"epsilon": [0.01]},
+    {"start": [None, 0.0, 3.0]},
+    {"mesh": {"builtin": "floor", "size": "big"}},
+    {"mesh": {"builtin": "random_soup", "n": 2.5}},
+    {"mesh": {"builtin": []}},
+    {"mesh": {"path": 0}},
+])
+def test_cli_rejects_mistyped_scenario_file(tmp_path, capsys, change):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({
+        "mesh": {"builtin": "floor"},
+        "start": [0.0, 0.0, 3.0],
+        "velocity": [0.0, 0.0, -1.0],
+        **change,
+    }))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_builtin_mesh_checks_parameter_types():
+    with pytest.raises(ValueError, match="'size' of 'floor' must be float"):
+        builtin_mesh("floor", size="big")
+    with pytest.raises(ValueError, match="'seed' of 'random_soup' must be int"):
+        builtin_mesh("random_soup", seed=1.5)
+    # An int stands in for a float and gives the same mesh.
+    assert builtin_mesh("floor", size=100) == builtin_mesh("floor", size=100.0)
+
+
 def _scenario(epsilon):
     return Scenario(name="s", mesh=MeshSource(builtin="floor"), start=(0.0, 0.0, 3.0),
                     velocity=(0.0, 0.0, -1.0), epsilon=epsilon)

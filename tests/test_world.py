@@ -77,3 +77,23 @@ def test_build_is_deterministic():
     w2 = build_world(tris)
     box = ((-11.0,) * 3, (11.0,) * 3)
     assert w1.query_candidates(box) == w2.query_candidates(box)
+
+
+def test_box_tests_are_inclusive():
+    # A box that only touches the triangle's box still overlaps it.
+    tri = Triangle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    world = build_world([tri], cell_size=1.0)
+    touching = ((1.0, 1.0, 0.0), (3.0, 3.0, 2.0))
+    assert world.brute_force_indices(touching) == [0]
+    assert world.brute_force_indices(((1.0 + 1e-12, 0.0, 0.0), (3.0, 3.0, 2.0))) == []
+    # A sweep whose box only touches it, crossing its plane inside the slab.
+    assert world.sweep_indices(touching, (2.0, 2.0, 0.5), (2.0, 2.0, 1.5)) == [0]
+
+
+def test_cells_beyond_int64_are_exact():
+    # Cell coordinates past 2**63 are still exact Python ints, as in queries.
+    far = 1e20
+    tri = Triangle((far, 0.0, 0.0), (far * (1 + 1e-15), 0.0, 0.0), (far, 1.0, 0.0))
+    world = build_world([tri, Triangle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))])
+    assert world.query_candidates(((far - 1.0, -1.0, -1.0), (far + 1.0, 2.0, 1.0))) == [0]
+    assert world.query_candidates(((-1.0, -1.0, -1.0), (2.0, 2.0, 1.0))) == [1]
