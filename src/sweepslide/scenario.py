@@ -3,9 +3,13 @@
 A scenario drives one of the response algorithms frame by frame through a
 mesh: positions and velocities are scaled into unit-sphere space, the
 response runs there, and the resulting center is scaled back for
-reporting.  Every frame also logs the exhaustively computed center-to-mesh
-distance so the broadphase path is audited by something that never uses
-it.
+reporting.  Every frame also logs its exact center-to-mesh distance, so
+the broadphase path is audited by something that never uses it.  The
+audit runs once per stream, on all of its end positions together
+(:func:`mesh_distances`): bounding spheres prune the triangles that cannot
+be nearest, and the same Voronoi evaluation as
+:func:`min_distance_to_mesh` runs on the rest, so each distance is the
+full scan's, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import Triangle, Vec3, check_stand_off, distance
+from .core import Triangle, Vec3, check_stand_off, distance, dot
 from .ellipsoid import EllipsoidRadii, EllipsoidWorldView, from_sphere_space, to_sphere_space
 from .legacy import LegacyConfig, collide_with_world_legacy
 from .mesh import builtin_mesh, load_obj_mesh
@@ -36,6 +40,7 @@ __all__ = [
     "summarize",
     "mesh_array",
     "min_distance_to_mesh",
+    "mesh_distances",
     "REPORT_COLUMNS",
     "ALGORITHMS",
 ]
@@ -95,8 +100,8 @@ class TrajectoryRecord:
     """One frame of output.
 
     ``position`` and ``displacement`` are world space; ``min_mesh_distance``
-    is the sphere-space center-to-mesh distance (where radius 1 is
-    meaningful), recomputed over every triangle without the broadphase.
+    is the exact sphere-space center-to-mesh distance (where radius 1 is
+    meaningful), computed without the broadphase.
     """
 
     frame: int
@@ -216,15 +221,22 @@ def mesh_array(triangles: list[Triangle]) -> np.ndarray:
     return np.array([[t.a, t.b, t.c] for t in triangles], dtype=float)
 
 
-def min_distance_to_mesh(point: Vec3, tris: np.ndarray) -> float:
-    """Exact distance from *point* to the nearest triangle, all at once.
+# Points per block of mesh_distances are chosen so that a block has about
+# this many point-triangle rows: the temporaries stay a few hundred KB.
+_BLOCK_ROWS = 1 << 14
+# Pruning slack, relative to the size of the coordinates.  The bounds and
+# the Voronoi distances each round to within a few ulps of that size; the
+# slack is millions of ulps, so no triangle that could hold the minimum is
+# dropped.
+_PRUNE_MARGIN = 1e-9
 
-    Vectorized Voronoi-region closest-point evaluation over every triangle;
-    used as the independent audit of whatever the broadphase path did.
+
+def _triangle_distances(p: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Exact distance from ``p`` (one point, or one per row) to each triangle.
+
+    Vectorized Voronoi-region closest-point evaluation; every row is
+    computed on its own, so a row's result does not depend on the others.
     """
-    if tris.shape[0] == 0:
-        return math.inf
-    p = np.asarray(point, dtype=float)
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
     ab = b - a
     ac = c - a
@@ -276,7 +288,77 @@ def min_distance_to_mesh(point: Vec3, tris: np.ndarray) -> float:
     mask = (d1 <= 0.0) & (d2 <= 0.0)
     closest = np.where(mask[:, None], a, closest)
 
-    return float(np.sqrt(((p - closest) ** 2).sum(axis=1)).min())
+    return np.sqrt(((p - closest) ** 2).sum(axis=1))
+
+
+def min_distance_to_mesh(point: Vec3, tris: np.ndarray) -> float:
+    """Exact distance from *point* to the nearest triangle, all at once.
+
+    Evaluates every triangle; used as the independent audit of whatever
+    the broadphase path did.
+    """
+    if tris.shape[0] == 0:
+        return math.inf
+    return float(_triangle_distances(np.asarray(point, dtype=float), tris).min())
+
+
+def _bounding_spheres(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each triangle's centroid and its largest vertex distance from it."""
+    centroids = tris.mean(axis=1)
+    radii = np.sqrt(((tris - centroids[:, None, :]) ** 2).sum(axis=2)).max(axis=1)
+    return centroids, radii
+
+
+def mesh_distances(points, tris: np.ndarray) -> np.ndarray:
+    """:func:`min_distance_to_mesh` of each row of *points*, bit for bit.
+
+    A triangle's distance from ``p`` lies between ``|p - c| - r`` and
+    ``|p - c|``, where ``c`` and ``r`` are its bounding sphere's centre and
+    radius.  Only the triangles whose lower bound reaches the smallest
+    upper bound (plus a rounding margin) can hold the minimum, so the
+    Voronoi evaluation runs on those pairs alone, all of a block's pairs in
+    one call.  ``inf`` for every point of an empty mesh.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    out = np.full(len(points), math.inf)
+    n = tris.shape[0]
+    if n == 0:
+        return out
+    centroids, radii = _bounding_spheres(tris)
+    extent = np.abs(tris).max()
+    step = max(1, _BLOCK_ROWS // n)
+    for lo in range(0, len(points), step):
+        block = points[lo:lo + step]
+        diff = block[:, None, :] - centroids[None, :, :]
+        upper = np.sqrt((diff * diff).sum(axis=2))
+        nearest = upper.min(axis=1)
+        limit = nearest + _PRUNE_MARGIN * (nearest + np.abs(block).max(axis=1) + extent)
+        # Written as "not above" so a NaN bound keeps its triangle and the
+        # NaN reaches the result, as in min_distance_to_mesh.
+        rows, cols = np.nonzero(~(upper - radii > limit[:, None]))
+        dist = _triangle_distances(block[rows], tris[cols])
+        out[lo:lo + len(block)] = np.minimum.reduceat(
+            dist, np.searchsorted(rows, np.arange(len(block))))
+    return out
+
+
+def _sphere_space_program(scenario: Scenario) -> tuple[Vec3, list[Vec3]]:
+    """The start and each frame's velocity, divided by the radii.
+
+    Raises ``ValueError`` naming the radii when one of them has no finite
+    squared length there: a finite file value can still overflow when a
+    radius is tiny, and no audit or sweep could answer it.
+    """
+    given = [scenario.start] + [scenario.velocity_for_frame(f) for f in range(scenario.frames)]
+    scaled = [to_sphere_space(v, scenario.radii) for v in given]
+    for k, v in enumerate(scaled):
+        if not math.isfinite(dot(v, v)):
+            what = "start" if k == 0 else f"velocity of frame {k - 1}"
+            raise ValueError(
+                f"scenario {scenario.name!r}: {what} {given[k]!r} divided by radii "
+                f"{scenario.radii.as_tuple()!r} has no finite squared length"
+            )
+    return scaled[0], scaled[1:]
 
 
 def run_scenario(scenario: Scenario) -> dict[str, list[TrajectoryRecord]]:
@@ -284,15 +366,17 @@ def run_scenario(scenario: Scenario) -> dict[str, list[TrajectoryRecord]]:
 
     The returned dict has one entry for ``improved`` or ``legacy`` runs and
     both entries for ``algorithm = "both"``; both streams see identical
-    inputs.  Raises ``ValueError`` when the start position penetrates the
-    mesh.
+    inputs.  Each stream's end positions are audited together, after its
+    frames, by :func:`mesh_distances`.  Raises ``ValueError`` when the
+    start position penetrates the mesh, or when the start or a velocity is
+    out of range in sphere space.
     """
     triangles = scenario.mesh.load()
     world = build_world(triangles)
     radii = scenario.radii
+    start_s, velocities = _sphere_space_program(scenario)
     sphere_tris = mesh_array(triangles) / np.array(radii.as_tuple())[None, None, :]
 
-    start_s = to_sphere_space(scenario.start, radii)
     start_dist = min_distance_to_mesh(start_s, sphere_tris)
     if start_dist < 1.0 - 1e-6:
         raise ValueError(
@@ -308,22 +392,26 @@ def run_scenario(scenario: Scenario) -> dict[str, list[TrajectoryRecord]]:
     out: dict[str, list[TrajectoryRecord]] = {}
     for algo in algorithms:
         view = EllipsoidWorldView(world, radii)
-        pos_world = scenario.start
         pos_sphere = start_s
-        records: list[TrajectoryRecord] = []
-        for frame in range(scenario.frames):
-            vel_sphere = to_sphere_space(scenario.velocity_for_frame(frame), radii)
+        results = []
+        for vel_sphere in velocities:
             if algo == "improved":
                 result = sphere_sweep(view, pos_sphere, vel_sphere, improved_cfg)
             else:
                 result = collide_with_world_legacy(view, pos_sphere, vel_sphere, legacy_cfg)
+            results.append(result)
             pos_sphere = result.final_pos
-            new_world = from_sphere_space(pos_sphere, radii)
+        clearances = mesh_distances([r.final_pos for r in results], sphere_tris).tolist()
+
+        pos_world = scenario.start
+        records: list[TrajectoryRecord] = []
+        for frame, (result, clearance) in enumerate(zip(results, clearances)):
+            new_world = from_sphere_space(result.final_pos, radii)
             records.append(TrajectoryRecord(
                 frame=frame,
                 position=new_world,
                 iterations=result.iterations,
-                min_mesh_distance=min_distance_to_mesh(pos_sphere, sphere_tris),
+                min_mesh_distance=clearance,
                 displacement=distance(new_world, pos_world),
                 planes_hit=len(result.planes),
             ))

@@ -34,7 +34,13 @@ from .ellipsoid import EllipsoidRadii, from_sphere_space, to_sphere_space
 from .legacy import LegacyConfig, collide_with_world_legacy
 from .mesh import builtin_mesh
 from .response import MIN_VELOCITY, ResponseConfig, project_dest_one_plane, sphere_sweep
-from .scenario import builtin_scenario, mesh_array, min_distance_to_mesh, run_scenario
+from .scenario import (
+    builtin_scenario,
+    mesh_array,
+    mesh_distances,
+    min_distance_to_mesh,
+    run_scenario,
+)
 from .world import build_world
 
 __all__ = ["CheckResult", "run_all"]
@@ -77,10 +83,14 @@ def _run_fuzz_corpus(trials: int, seed: int):
     improved_violations = 0
     legacy_violations = 0
     worst_clearance = math.inf
+    # End positions per soup, audited together after the frames.
+    improved_ends: list[list[Vec3]] = [[] for _ in worlds]
+    legacy_ends: list[list[Vec3]] = [[] for _ in worlds]
 
     start = time.perf_counter()
     for i in range(trials):
-        world, tris = worlds[i % len(worlds)]
+        k = i % len(worlds)
+        world, tris = worlds[k]
         while True:
             pos = (rng.uniform(-extent, extent), rng.uniform(-extent, extent),
                    rng.uniform(-extent, extent))
@@ -101,15 +111,19 @@ def _run_fuzz_corpus(trials: int, seed: int):
 
         res = sphere_sweep(world, pos, vel, improved_cfg)
         improved_max_iter = max(improved_max_iter, res.iterations)
-        clearance = min_distance_to_mesh(res.final_pos, tris)
-        worst_clearance = min(worst_clearance, clearance)
-        if clearance < 1.0 - 1e-6:
-            improved_violations += 1
+        improved_ends[k].append(res.final_pos)
 
         leg = collide_with_world_legacy(world, pos, vel, legacy_cfg)
         legacy_max_iter = max(legacy_max_iter, leg.iterations)
-        if min_distance_to_mesh(leg.final_pos, tris) < 1.0 - 1e-6:
-            legacy_violations += 1
+        legacy_ends[k].append(leg.final_pos)
+
+    for (_, tris), improved, legacy in zip(worlds, improved_ends, legacy_ends):
+        clearance = mesh_distances(improved + legacy, tris)
+        violated = clearance < 1.0 - 1e-6
+        n = len(improved)
+        worst_clearance = min([worst_clearance, *clearance[:n].tolist()])
+        improved_violations += int(violated[:n].sum())
+        legacy_violations += int(violated[n:].sum())
     elapsed = time.perf_counter() - start
     return dict(
         trials=trials,

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,28 @@ def test_cli_rejects_overflowing_velocity(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("start, culprit", [
+    ([0.0, 0.0, 3.0], "start"),
+    ([0.0, 0.0, 3e-300], "velocity of frame 0"),
+])
+def test_cli_names_radii_that_overflow_sphere_space(tmp_path, capsys, start, culprit):
+    # Finite file values that a radius of 1e-300 makes overflow in sphere space.
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({
+        "mesh": {"builtin": "floor"},
+        "start": start,
+        "velocity": [0.0, 0.0, -1.0],
+        "radii": [1.0, 1.0, 1e-300],
+        "frames": 2,
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert culprit in err and "1e-300" in err
 
 
 @pytest.mark.parametrize("change", [
