@@ -146,17 +146,22 @@ class Triangle:
     normal: Vec3 = field(init=False)
 
     def __post_init__(self) -> None:
-        ab = sub(self.b, self.a)
-        ac = sub(self.c, self.a)
-        n = cross(ab, ac)
-        nn = dot(n, n)
+        # sub, cross and dot written out in their own operation order.
+        ax, ay, az = self.a
+        abx, aby, abz = self.b[0] - ax, self.b[1] - ay, self.b[2] - az
+        acx, acy, acz = self.c[0] - ax, self.c[1] - ay, self.c[2] - az
+        nx = aby * acz - abz * acy
+        ny = abz * acx - abx * acz
+        nz = abx * acy - aby * acx
+        nn = nx * nx + ny * ny + nz * nz
         # Squares on both sides: no square root for the test.
-        if nn <= DEGENERATE_LENGTH * DEGENERATE_LENGTH * dot(ab, ab) * dot(ac, ac):
+        if nn <= (DEGENERATE_LENGTH * DEGENERATE_LENGTH
+                  * (abx * abx + aby * aby + abz * abz) * (acx * acx + acy * acy + acz * acz)):
             raise DegenerateTriangleError(
                 f"collinear triangle vertices: {self.a!r}, {self.b!r}, {self.c!r}"
             )
         m = math.sqrt(nn)
-        object.__setattr__(self, "normal", (n[0] / m, n[1] / m, n[2] / m))
+        object.__setattr__(self, "normal", (nx / m, ny / m, nz / m))
 
     def vertices(self) -> tuple[Vec3, Vec3, Vec3]:
         return (self.a, self.b, self.c)

@@ -5,22 +5,19 @@ triangle's face plane, its three vertices, and its three edges -- and takes
 the global minimum contact time.  Each sub-test enumerates every instant at
 which its feature is exactly one unit from the sphere center, so the
 minimum over all candidates is the true first contact.
+
+The per-triangle functions unpack their tuples into float locals and write
+every difference and dot product inline, in the operation order of
+``core``'s helpers: the results are the helpers' bit for bit, without a
+Python call per vector operation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
-from .core import (
-    Triangle,
-    Vec3,
-    add,
-    dot,
-    norm,
-    robust_quadratic_roots,
-    scale,
-    sub,
-)
+from .core import Triangle, Vec3, add, robust_quadratic_roots
 
 __all__ = [
     "SweepHit",
@@ -59,14 +56,17 @@ class SweepHit:
 
 def point_in_triangle(p: Vec3, tri: Triangle) -> bool:
     """Barycentric containment test for a point already on the triangle plane."""
-    v0 = sub(tri.b, tri.a)
-    v1 = sub(tri.c, tri.a)
-    v2 = sub(p, tri.a)
-    d00 = dot(v0, v0)
-    d01 = dot(v0, v1)
-    d11 = dot(v1, v1)
-    d20 = dot(v2, v0)
-    d21 = dot(v2, v1)
+    ax, ay, az = tri.a
+    bx, by, bz = tri.b
+    cx, cy, cz = tri.c
+    v0x, v0y, v0z = bx - ax, by - ay, bz - az
+    v1x, v1y, v1z = cx - ax, cy - ay, cz - az
+    v2x, v2y, v2z = p[0] - ax, p[1] - ay, p[2] - az
+    d00 = v0x * v0x + v0y * v0y + v0z * v0z
+    d01 = v0x * v1x + v0y * v1y + v0z * v1z
+    d11 = v1x * v1x + v1y * v1y + v1z * v1z
+    d20 = v2x * v0x + v2y * v0y + v2z * v0z
+    d21 = v2x * v1x + v2y * v1y + v2z * v1z
     denom = d00 * d11 - d01 * d01
     if denom == 0.0:
         return False
@@ -79,46 +79,50 @@ def point_in_triangle(p: Vec3, tri: Triangle) -> bool:
 def closest_point_on_triangle(p: Vec3, tri: Triangle) -> Vec3:
     """Closest point on the (solid) triangle to *p*, by Voronoi-region walk."""
     a, b, c = tri.a, tri.b, tri.c
-    ab = sub(b, a)
-    ac = sub(c, a)
-    ap = sub(p, a)
+    ax, ay, az = a
+    bx, by, bz = b
+    cx, cy, cz = c
+    px, py, pz = p
+    abx, aby, abz = bx - ax, by - ay, bz - az
+    acx, acy, acz = cx - ax, cy - ay, cz - az
+    apx, apy, apz = px - ax, py - ay, pz - az
 
-    d1 = dot(ab, ap)
-    d2 = dot(ac, ap)
+    d1 = abx * apx + aby * apy + abz * apz
+    d2 = acx * apx + acy * apy + acz * apz
     if d1 <= 0.0 and d2 <= 0.0:
         return a
 
-    bp = sub(p, b)
-    d3 = dot(ab, bp)
-    d4 = dot(ac, bp)
+    bpx, bpy, bpz = px - bx, py - by, pz - bz
+    d3 = abx * bpx + aby * bpy + abz * bpz
+    d4 = acx * bpx + acy * bpy + acz * bpz
     if d3 >= 0.0 and d4 <= d3:
         return b
 
     vc = d1 * d4 - d3 * d2
     if vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0:
         v = d1 / (d1 - d3)
-        return add(a, scale(ab, v))
+        return (ax + abx * v, ay + aby * v, az + abz * v)
 
-    cp = sub(p, c)
-    d5 = dot(ab, cp)
-    d6 = dot(ac, cp)
+    cpx, cpy, cpz = px - cx, py - cy, pz - cz
+    d5 = abx * cpx + aby * cpy + abz * cpz
+    d6 = acx * cpx + acy * cpy + acz * cpz
     if d6 >= 0.0 and d5 <= d6:
         return c
 
     vb = d5 * d2 - d1 * d6
     if vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0:
         w = d2 / (d2 - d6)
-        return add(a, scale(ac, w))
+        return (ax + acx * w, ay + acy * w, az + acz * w)
 
     va = d3 * d6 - d5 * d4
     if va <= 0.0 and (d4 - d3) >= 0.0 and (d5 - d6) >= 0.0:
         w = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        return add(b, scale(sub(c, b), w))
+        return (bx + (cx - bx) * w, by + (cy - by) * w, bz + (cz - bz) * w)
 
     denom = 1.0 / (va + vb + vc)
     v = vb * denom
     w = vc * denom
-    return add(a, add(scale(ab, v), scale(ac, w)))
+    return (ax + (abx * v + acx * w), ay + (aby * v + acy * w), az + (abz * v + acz * w))
 
 
 def sweep_unit_sphere_triangle(source: Vec3, vel: Vec3, tri: Triangle) -> SweepHit | None:
@@ -131,45 +135,64 @@ def sweep_unit_sphere_triangle(source: Vec3, vel: Vec3, tri: Triangle) -> SweepH
     algorithm's job to avoid.
     """
     nearest = closest_point_on_triangle(source, tri)
-    if norm(sub(source, nearest)) < 1.0:
+    sx, sy, sz = source
+    dx, dy, dz = sx - nearest[0], sy - nearest[1], sz - nearest[2]
+    if math.sqrt(dx * dx + dy * dy + dz * dz) < 1.0:
         return SweepHit(0.0, nearest)
 
-    vel_sq = dot(vel, vel)
+    vx, vy, vz = vel
+    vel_sq = vx * vx + vy * vy + vz * vz
     if vel_sq < 1e-24:
         return None
 
-    best_t = None
+    a, b, c = tri.a, tri.b, tri.c
+    ax, ay, az = a
+    bx, by, bz = b
+    cx, cy, cz = c
+    # The start's offset from each vertex, shared by all three sub-tests.
+    mxa, mya, mza = sx - ax, sy - ay, sz - az
+    mxb, myb, mzb = sx - bx, sy - by, sz - bz
+    mxc, myc, mzc = sx - cx, sy - cy, sz - cz
+
+    # Every accepted t lies in [0, 1], so any t beats this.
+    best_t = 2.0
     best_point = None
 
     # Face: the center's plane distance is linear in t, so contact with the
     # face interior can only happen where |distance| == 1.  Both crossings
     # are tested; the containment check rejects the geometrically impossible
     # one, and edges/vertices cover everything outside the face.
-    n = tri.normal
-    nv = dot(n, vel)
+    nx, ny, nz = tri.normal
+    nv = nx * vx + ny * vy + nz * vz
     if nv != 0.0:
-        d0 = dot(n, sub(source, tri.a))
+        d0 = nx * mxa + ny * mya + nz * mza
         for level in (1.0, -1.0):
             t = (level - d0) / nv
             if 0.0 <= t <= 1.0:
-                center = add(source, scale(vel, t))
-                p = sub(center, scale(n, level))
-                if point_in_triangle(p, tri):
-                    if best_t is None or t < best_t:
-                        best_t = t
-                        best_point = p
+                p = (sx + vx * t - nx * level, sy + vy * t - ny * level,
+                     sz + vz * t - nz * level)
+                if t < best_t and point_in_triangle(p, tri):
+                    best_t = t
+                    best_point = p
     # nv == 0 while overlapping the plane slab: moving parallel, the face
     # can never be newly touched; only vertices and edges apply.
 
-    # Vertices: |source + vel*t - v| == 1.
-    for v in (tri.a, tri.b, tri.c):
-        m = sub(source, v)
-        roots = robust_quadratic_roots(vel_sq, 2.0 * dot(vel, m), dot(m, m) - 1.0)
-        if roots is None:
+    # Vertices: |source + vel*t - v| == 1.  Each vertex's m.v and m.m - 1
+    # are the edge tests' too.
+    mva = vx * mxa + vy * mya + vz * mza
+    mvb = vx * mxb + vy * myb + vz * mzb
+    mvc = vx * mxc + vy * myc + vz * mzc
+    mma = mxa * mxa + mya * mya + mza * mza - 1.0
+    mmb = mxb * mxb + myb * myb + mzb * mzb - 1.0
+    mmc = mxc * mxc + myc * myc + mzc * mzc - 1.0
+    for v, mv, mm in ((a, mva, mma), (b, mvb, mmb), (c, mvc, mmc)):
+        qb = 2.0 * mv
+        # The discriminant as robust_quadratic_roots forms it: a miss skips the call.
+        if qb * qb - 4.0 * vel_sq * mm < 0.0:
             continue
-        for t in roots:
+        for t in robust_quadratic_roots(vel_sq, qb, mm):
             if 0.0 <= t <= 1.0:
-                if best_t is None or t < best_t:
+                if t < best_t:
                     best_t = t
                     best_point = v
                 break
@@ -178,30 +201,30 @@ def sweep_unit_sphere_triangle(source: Vec3, vel: Vec3, tri: Triangle) -> SweepH
     # point inside the segment.  Both roots are checked because the first
     # tangency to the line can fall outside the segment while the second
     # falls inside it.
-    for p1, p2 in ((tri.a, tri.b), (tri.b, tri.c), (tri.c, tri.a)):
-        e = sub(p2, p1)
-        m = sub(source, p1)
-        ee = dot(e, e)
-        ev = dot(e, vel)
-        em = dot(e, m)
+    for px, py, pz, ex, ey, ez, mx, my, mz, mv, mm in (
+            (ax, ay, az, bx - ax, by - ay, bz - az, mxa, mya, mza, mva, mma),
+            (bx, by, bz, cx - bx, cy - by, cz - bz, mxb, myb, mzb, mvb, mmb),
+            (cx, cy, cz, ax - cx, ay - cy, az - cz, mxc, myc, mzc, mvc, mmc)):
+        ee = ex * ex + ey * ey + ez * ez
+        ev = ex * vx + ey * vy + ez * vz
+        em = ex * mx + ey * my + ez * mz
         qa = ee * vel_sq - ev * ev
         if qa == 0.0:
             continue  # moving parallel to the edge line: constant distance
-        qb = 2.0 * (ee * dot(m, vel) - em * ev)
-        qc = ee * (dot(m, m) - 1.0) - em * em
-        roots = robust_quadratic_roots(qa, qb, qc)
-        if roots is None:
+        qb = 2.0 * (ee * mv - em * ev)
+        qc = ee * mm - em * em
+        if qb * qb - 4.0 * qa * qc < 0.0:
             continue
-        for t in roots:
+        for t in robust_quadratic_roots(qa, qb, qc):
             if 0.0 <= t <= 1.0:
                 f = (em + ev * t) / ee
                 if 0.0 <= f <= 1.0:
-                    if best_t is None or t < best_t:
+                    if t < best_t:
                         best_t = t
-                        best_point = add(p1, scale(e, f))
+                        best_point = (px + ex * f, py + ey * f, pz + ez * f)
                     break
 
-    if best_t is None:
+    if best_point is None:
         return None
     return SweepHit(best_t, best_point)
 
@@ -235,8 +258,14 @@ def check_collision(world, source: Vec3, vel: Vec3) -> SweepHit | None:
     """
     end = add(source, vel)
     best: SweepHit | None = None
+    best_index = -1
     for index, tri in world.candidates(sweep_bounds(source, end), source, end):
+        # A global lookup on every call, so a wrapper bound to the module
+        # name sees every narrowphase call.
         hit = sweep_unit_sphere_triangle(source, vel, tri)
         if hit is not None and (best is None or hit.t < best.t):
-            best = replace(hit, triangle_index=index)
-    return best
+            best = hit
+            best_index = index
+    if best is None:
+        return None
+    return SweepHit(best.t, best.contact_point, best_index)

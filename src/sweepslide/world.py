@@ -27,6 +27,11 @@ __all__ = ["World", "build_world", "triangle_bounds", "DEFAULT_CELL_SIZE"]
 # meshes without exploding the number of cells a large triangle spans.
 DEFAULT_CELL_SIZE = 4.0
 
+# The most grid entries (one per triangle per cell its box covers) a world
+# may hold.  The largest builtin or benchmark world holds about 124,000;
+# far past that, building would take minutes and gigabytes.
+MAX_CELL_ENTRIES = 4_000_000
+
 # A sweep whose two endpoints both lie farther than this from a triangle's
 # plane, on the same side, cannot touch it: the plane distance is linear
 # along the sweep.  The slack absorbs the rounding between the filter's
@@ -172,7 +177,8 @@ def build_world(triangles: Sequence[Triangle], cell_size: float = DEFAULT_CELL_S
     """Index *triangles* into a uniform grid.
 
     Deterministic for identical input order; rejects non-positive cell
-    sizes.
+    sizes, and grids of more than ``MAX_CELL_ENTRIES`` entries before
+    building any of them.
     """
     if not (cell_size > 0.0):
         raise ValueError(f"cell_size must be positive, got {cell_size!r}")
@@ -185,9 +191,17 @@ def build_world(triangles: Sequence[Triangle], cell_size: float = DEFAULT_CELL_S
     hi = flat[:, :3].max(axis=1)
     normal, a = flat[:, 3], flat[:, 0]
     offset = normal[:, 0] * a[:, 0] + normal[:, 1] * a[:, 1] + normal[:, 2] * a[:, 2]
+    lo_cells = _cell_coords(lo, cell_size)
+    hi_cells = _cell_coords(hi, cell_size)
+    entries = sum((x1 - x0 + 1) * (y1 - y0 + 1) * (z1 - z0 + 1)
+                  for x0, y0, z0, x1, y1, z1 in zip(*lo_cells, *hi_cells))
+    if entries > MAX_CELL_ENTRIES:
+        raise ValueError(
+            f"the grid would hold {entries} cell entries, more than {MAX_CELL_ENTRIES}, "
+            f"at cell size {cell_size!r}: the triangles are too large for the cells"
+        )
     cells: dict[tuple[int, int, int], list[int]] = {}
-    for index, x0, y0, z0, x1, y1, z1 in zip(
-            range(count), *_cell_coords(lo, cell_size), *_cell_coords(hi, cell_size)):
+    for index, x0, y0, z0, x1, y1, z1 in zip(range(count), *lo_cells, *hi_cells):
         for ix in range(x0, x1 + 1):
             for iy in range(y0, y1 + 1):
                 for iz in range(z0, z1 + 1):

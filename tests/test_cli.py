@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import sweepslide
 from sweepslide.cli import main
 from sweepslide.scenario import REPORT_COLUMNS
 
@@ -80,6 +83,14 @@ def test_seed_is_a_mesh_parameter(capsys):
     assert main(["builtin", "random_soup", "--seed", "3", "--frames", "1"]) == 0
 
 
+def test_grid_too_large_to_build_errors(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"mesh": {"builtin": "floor", "size": 1e10},
+                                "start": [0, 0, 3], "velocity": [0, 0, -1]}))
+    assert main(["run", str(path)]) == 2
+    assert "error: the grid would hold" in capsys.readouterr().err
+
+
 def test_missing_scenario_file_errors(capsys):
     assert main(["run", "/does/not/exist.json"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -95,11 +106,16 @@ def test_verify_subcommand_passes(verify_run):
 
 
 def test_module_entry_point_smoke():
+    # The child imports the same package as this process, installed or not.
+    package_root = str(Path(sweepslide.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "sweepslide", "builtin", "floor", "--frames", "1"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith(",".join(REPORT_COLUMNS))

@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sweepslide.core import (
+    DEGENERATE_LENGTH,
     DegenerateTriangleError,
     DegenerateVectorError,
     Plane,
     Triangle,
     add,
     cross,
+    dot,
     norm,
     normalize,
     robust_quadratic_roots,
@@ -97,6 +99,46 @@ def test_triangle_rejects_collinear():
 def test_triangle_degeneracy_is_scale_invariant(size):
     tri = Triangle((0.0, 0.0, 0.0), (size, 0.0, 0.0), (0.0, size, 0.0))
     assert tri.normal == (0.0, 0.0, 1.0)
+
+
+def _ref_normal(a, b, c):
+    """Triangle's normal through the helpers, or None where it must refuse."""
+    ab = sub(b, a)
+    ac = sub(c, a)
+    n = cross(ab, ac)
+    nn = dot(n, n)
+    if nn <= DEGENERATE_LENGTH * DEGENERATE_LENGTH * dot(ab, ab) * dot(ac, ac):
+        return None
+    m = math.sqrt(nn)
+    return (n[0] / m, n[1] / m, n[2] / m)
+
+
+@st.composite
+def _triangle_vertices(draw):
+    """Random, sliver and exactly collinear vertices, offset by up to 1e8
+    and divided by radii with axis ratios up to 1e3."""
+    coord = st.floats(-4.0, 4.0)
+    a, b, c = (draw(st.tuples(coord, coord, coord)) for _ in range(3))
+    kind = draw(st.sampled_from(("random", "sliver", "collinear")))
+    if kind != "random":
+        s = draw(st.floats(-0.5, 1.5))
+        eps = 0.0 if kind == "collinear" else draw(st.sampled_from((1e-3, 1e-9, 1e-13)))
+        c = add(add(a, scale(sub(b, a), s)), scale(c, eps))
+    offset = draw(st.tuples(*[st.sampled_from((0.0, 1e4, -1e6, 1e8))] * 3))
+    radii = draw(st.tuples(*[st.floats(0.03, 30.0)] * 3))
+    return tuple((v[0] / radii[0], v[1] / radii[1], v[2] / radii[2])
+                 for v in (add(v, offset) for v in (a, b, c)))
+
+
+@given(_triangle_vertices())
+@settings(max_examples=300)
+def test_triangle_normal_is_bit_identical_to_the_helper_formulation(vertices):
+    expected = _ref_normal(*vertices)
+    if expected is None:
+        with pytest.raises(DegenerateTriangleError):
+            Triangle(*vertices)
+    else:
+        assert Triangle(*vertices).normal == expected
 
 
 # --- quadratic solver ---

@@ -4,7 +4,7 @@ import pytest
 
 from sweepslide.core import Triangle
 from sweepslide.mesh import builtin_mesh
-from sweepslide.world import build_world, triangle_bounds
+from sweepslide.world import MAX_CELL_ENTRIES, build_world, triangle_bounds
 
 
 def test_rejects_bad_cell_size():
@@ -12,6 +12,25 @@ def test_rejects_bad_cell_size():
         build_world([], cell_size=0.0)
     with pytest.raises(ValueError):
         build_world([], cell_size=-1.0)
+
+
+def test_rejects_a_grid_too_large_to_build():
+    # floor of size 1e10: (2.5e9 + 1)**2 cells, refused before any is made.
+    with pytest.raises(ValueError) as err:
+        build_world(builtin_mesh("floor", size=1e10))
+    message = str(err.value)
+    assert "12500000010000000002" in message
+    assert str(MAX_CELL_ENTRIES) in message
+    assert "cell size 4.0" in message
+
+
+def test_cell_entry_bound_counts_every_triangle():
+    # Each triangle covers 1001 x 1001 cells, under the bound alone; four
+    # of them together are past it.
+    wide = Triangle((0.0, 0.0, 0.5), (2000.0, 0.0, 0.5), (0.0, 2000.0, 0.5))
+    assert 1001 * 1001 <= MAX_CELL_ENTRIES < 4 * 1001 * 1001
+    with pytest.raises(ValueError, match="4008004 cell entries"):
+        build_world([wide] * 4, cell_size=2.0)
 
 
 def test_empty_world_returns_nothing():
