@@ -25,18 +25,12 @@ __all__ = [
     "check_collision",
     "closest_point_on_triangle",
     "point_in_triangle",
-    "sweep_bounds",
 ]
 
 # A face contact point may sit this far outside an edge (in barycentric
 # terms) and still count as inside, so a point on a shared edge is never
 # claimed by neither adjacent triangle.
 BARYCENTRIC_TOLERANCE = 1e-9
-
-# Extra padding (beyond the unit radius) on the swept bounding box handed
-# to the broadphase, and on the plane slab the world filters with.  Slack
-# only adds candidates, never drops one.
-SWEEP_BOX_SLACK = 1e-2
 
 
 @dataclass(frozen=True)
@@ -229,37 +223,20 @@ def sweep_unit_sphere_triangle(source: Vec3, vel: Vec3, tri: Triangle) -> SweepH
     return SweepHit(best_t, best_point)
 
 
-def sweep_bounds(start: Vec3, end: Vec3) -> tuple[Vec3, Vec3]:
-    """Axis-aligned box around the whole swept sphere, with slack."""
-    pad = 1.0 + SWEEP_BOX_SLACK
-    lo = (
-        min(start[0], end[0]) - pad,
-        min(start[1], end[1]) - pad,
-        min(start[2], end[2]) - pad,
-    )
-    hi = (
-        max(start[0], end[0]) + pad,
-        max(start[1], end[1]) + pad,
-        max(start[2], end[2]) + pad,
-    )
-    return lo, hi
-
-
 def check_collision(world, source: Vec3, vel: Vec3) -> SweepHit | None:
     """Earliest contact over all broadphase candidates of *world*.
 
-    *world* is anything with a ``candidates(bounds, start, end)`` method
-    (a ``World`` or an ``EllipsoidWorldView``) returning ``(index,
-    Triangle)`` pairs in ascending index order.  It is handed the sweep's
-    padded box and its two endpoints, and may leave out any triangle the
-    sweep provably cannot touch, but no other.  Ties at identical t go to
-    the smaller index, which iteration order plus the strict comparison
-    provides.
+    *world* is anything with a ``candidates(start, end)`` method (a
+    ``World`` or an ``EllipsoidWorldView``) returning ``(index, Triangle)``
+    pairs in ascending index order.  It is handed the sweep's two
+    endpoints, and may leave out any triangle the sweep provably cannot
+    touch, but no other.  Ties at identical t go to the smaller index,
+    which iteration order plus the strict comparison provides.
     """
     end = add(source, vel)
     best: SweepHit | None = None
     best_index = -1
-    for index, tri in world.candidates(sweep_bounds(source, end), source, end):
+    for index, tri in world.candidates(source, end):
         # A global lookup on every call, so a wrapper bound to the module
         # name sees every narrowphase call.
         hit = sweep_unit_sphere_triangle(source, vel, tri)

@@ -70,13 +70,12 @@ def triangle_to_sphere_space(tri: Triangle, radii: EllipsoidRadii) -> Triangle:
 class EllipsoidWorldView:
     """Sphere-space window onto a world-space :class:`World`.
 
-    Broadphase queries arrive in sphere space.  Their box is mapped back to
-    world space for the grid and the box filter (positive radii preserve
-    min/max ordering), the plane-slab filter runs in sphere space from the
-    world's own arrays, and only the surviving triangles are scaled, on
-    demand.  The underlying world stays untouched, so one world can be
-    shared by entities with different radii; each entity should use its
-    own view (the transform cache is not locked).
+    Sweeps arrive in sphere space.  The world filters them with its own
+    arrays (the box in world space, the plane slab in sphere space), and
+    only the surviving triangles are scaled, on demand.  The underlying
+    world stays untouched, so one world can be shared by entities with
+    different radii; each entity should use its own view (the transform
+    cache is not locked).
     """
 
     __slots__ = ("world", "radii", "_cache")
@@ -86,15 +85,12 @@ class EllipsoidWorldView:
         self.radii = radii
         self._cache: dict[int, Triangle] = {}
 
-    def candidates(self, bounds: tuple[Vec3, Vec3], start: Vec3,
-                   end: Vec3) -> list[tuple[int, Triangle]]:
-        lo, hi = bounds
-        world_bounds = (from_sphere_space(lo, self.radii), from_sphere_space(hi, self.radii))
+    def candidates(self, start: Vec3, end: Vec3) -> list[tuple[int, Triangle]]:
         if self.radii.is_unit:
-            return self.world.candidates(world_bounds, start, end)
+            return self.world.candidates(start, end)
         cache = self._cache
         out = []
-        for index in self.world.sweep_indices(world_bounds, start, end, self.radii.as_tuple()):
+        for index in self.world.sweep_indices(start, end, self.radii.as_tuple()):
             tri = cache.get(index)
             if tri is None:
                 tri = triangle_to_sphere_space(self.world.triangles[index], self.radii)

@@ -4,7 +4,8 @@ The OBJ subset is deliberately small: ``v x y z`` vertices and ``f i j k...``
 faces (1-based; negative indices count from the end; polygons are fanned
 from the first vertex).  Face entries may carry ``/texture/normal`` suffixes,
 which are ignored.  Every other record type is skipped.  Collinear faces are
-dropped with a warning count instead of failing the whole load.
+dropped, and counted in ``ObjLoadResult.degenerate_count``, instead of
+failing the whole load.
 """
 
 from __future__ import annotations

@@ -368,16 +368,24 @@ def run_scenario(scenario: Scenario) -> dict[str, list[TrajectoryRecord]]:
     both entries for ``algorithm = "both"``; both streams see identical
     inputs.  Each stream's end positions are audited together, after its
     frames, by :func:`mesh_distances`.  Raises ``ValueError`` when the
-    start position penetrates the mesh, or when the start or a velocity is
-    out of range in sphere space.
+    start position penetrates the mesh, or when the start, a velocity or
+    the mesh is out of range in sphere space.
     """
     triangles = scenario.mesh.load()
     world = build_world(triangles)
     radii = scenario.radii
     start_s, velocities = _sphere_space_program(scenario)
-    sphere_tris = mesh_array(triangles) / np.array(radii.as_tuple())[None, None, :]
-
-    start_dist = min_distance_to_mesh(start_s, sphere_tris)
+    try:
+        # A finite mesh divided by a tiny radius can leave coordinates whose
+        # products overflow: the audit would read NaN and pass.
+        with np.errstate(over="raise", invalid="raise"):
+            sphere_tris = mesh_array(triangles) / np.array(radii.as_tuple())[None, None, :]
+            start_dist = min_distance_to_mesh(start_s, sphere_tris)
+    except FloatingPointError:
+        raise ValueError(
+            f"scenario {scenario.name!r}: the mesh overflows once divided by radii "
+            f"{radii.as_tuple()!r}"
+        ) from None
     if start_dist < 1.0 - 1e-6:
         raise ValueError(
             f"scenario {scenario.name!r}: start position penetrates the mesh "

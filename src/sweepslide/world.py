@@ -19,18 +19,21 @@ from itertools import chain
 import numpy as np
 
 from .core import Triangle, Vec3
-from .detect import SWEEP_BOX_SLACK
 
-__all__ = ["World", "build_world", "triangle_bounds", "DEFAULT_CELL_SIZE"]
+__all__ = ["World", "build_world"]
 
 # A few sphere radii per cell keeps candidate lists short for game-like
 # meshes without exploding the number of cells a large triangle spans.
-DEFAULT_CELL_SIZE = 4.0
+CELL_SIZE = 4.0
 
 # The most grid entries (one per triangle per cell its box covers) a world
 # may hold.  The largest builtin or benchmark world holds about 124,000;
 # far past that, building would take minutes and gigabytes.
 MAX_CELL_ENTRIES = 4_000_000
+
+# Padding, beyond the unit radius, of a sweep's box and of the plane slab
+# it is filtered with.  Slack only adds candidates, never drops one.
+SWEEP_BOX_SLACK = 1e-2
 
 # A sweep whose two endpoints both lie farther than this from a triangle's
 # plane, on the same side, cannot touch it: the plane distance is linear
@@ -41,17 +44,7 @@ SLAB_MARGIN = 1.0 + SWEEP_BOX_SLACK
 Bounds = tuple[Vec3, Vec3]
 
 
-def triangle_bounds(tri: Triangle) -> Bounds:
-    ax, ay, az = tri.a
-    bx, by, bz = tri.b
-    cx, cy, cz = tri.c
-    return (
-        (min(ax, bx, cx), min(ay, by, cy), min(az, bz, cz)),
-        (max(ax, bx, cx), max(ay, by, cy), max(az, bz, cz)),
-    )
-
-
-def _cell_range(bounds: Bounds, cell_size: float) -> tuple[range, range, range]:
+def _cell_range(bounds: Bounds) -> tuple[range, range, range]:
     """The grid cells a query box touches.
 
     ``build_world`` maps triangle boxes with :func:`_cell_coords`, the same
@@ -61,19 +54,19 @@ def _cell_range(bounds: Bounds, cell_size: float) -> tuple[range, range, range]:
     # floor, not int(): truncation toward zero is wrong for negative
     # coordinates and would silently drop cells on that side.
     return (
-        range(math.floor(lo[0] / cell_size), math.floor(hi[0] / cell_size) + 1),
-        range(math.floor(lo[1] / cell_size), math.floor(hi[1] / cell_size) + 1),
-        range(math.floor(lo[2] / cell_size), math.floor(hi[2] / cell_size) + 1),
+        range(math.floor(lo[0] / CELL_SIZE), math.floor(hi[0] / CELL_SIZE) + 1),
+        range(math.floor(lo[1] / CELL_SIZE), math.floor(hi[1] / CELL_SIZE) + 1),
+        range(math.floor(lo[2] / CELL_SIZE), math.floor(hi[2] / CELL_SIZE) + 1),
     )
 
 
-def _cell_coords(coords: np.ndarray, cell_size: float) -> list[list[int]]:
-    """``math.floor(x / cell_size)`` for every entry, as Python ints, column by column.
+def _cell_coords(coords: np.ndarray) -> list[list[int]]:
+    """``math.floor(x / CELL_SIZE)`` for every entry, as Python ints, column by column.
 
     Three long lists rather than one short list per row: each list is an
     object the garbage collector tracks.
     """
-    cells = np.floor(coords.T / cell_size)
+    cells = np.floor(coords.T / CELL_SIZE)
     if not (np.abs(cells).max(initial=0.0) < 2.0 ** 62):
         # Beyond int64 (or not finite): convert one by one, exactly as
         # math.floor would, errors included.
@@ -96,13 +89,12 @@ class World:
     ``(p, 1)`` times it is the signed distance of ``p`` from the plane.
     """
 
-    __slots__ = ("triangles", "cell_size", "_cells", "_boxes", "_planes")
+    __slots__ = ("triangles", "_cells", "_boxes", "_planes")
 
-    def __init__(self, triangles: tuple[Triangle, ...], cell_size: float,
+    def __init__(self, triangles: tuple[Triangle, ...],
                  cells: dict[tuple[int, int, int], list[int]],
                  boxes: np.ndarray, planes: np.ndarray):
         self.triangles = triangles
-        self.cell_size = cell_size
         self._cells = cells
         self._boxes = boxes
         self._planes = planes
@@ -113,38 +105,46 @@ class World:
         Guaranteed a superset of the exact AABB-overlap set; deduplicated
         and ascending.
         """
-        rx, ry, rz = _cell_range(bounds, self.cell_size)
-        found: set[int] = set()
+        rx, ry, rz = _cell_range(bounds)
         # Python ints, not len(range): a long finite box has more cells
         # than len() can return.
         box_cells = (rx.stop - rx.start) * (ry.stop - ry.start) * (rz.stop - rz.start)
         if box_cells > len(self._cells):
-            # Huge query box: walking the occupied cells is cheaper.
-            for (ix, iy, iz), indices in self._cells.items():
-                if ix in rx and iy in ry and iz in rz:
-                    found.update(indices)
-        else:
-            cells = self._cells
-            for ix in rx:
-                for iy in ry:
-                    for iz in rz:
-                        bucket = cells.get((ix, iy, iz))
-                        if bucket:
-                            found.update(bucket)
+            # Huge query box: the exact scan is cheaper than its cells.
+            return self.brute_force_indices(bounds)
+        cells = self._cells
+        found: set[int] = set()
+        for ix in rx:
+            for iy in ry:
+                for iz in rz:
+                    bucket = cells.get((ix, iy, iz))
+                    if bucket:
+                        found.update(bucket)
         return sorted(found)
 
-    def sweep_indices(self, bounds: Bounds, start: Vec3, end: Vec3,
-                      radii: Vec3 | None = None) -> list[int]:
+    def sweep_indices(self, start: Vec3, end: Vec3, radii: Vec3 | None = None) -> list[int]:
         """Ascending indices of the triangles a sweep from *start* to *end* may touch.
 
-        *bounds* is the sweep's box.  Of ``query_candidates(bounds)`` this
-        keeps the triangles whose box overlaps *bounds* (inclusive) and
-        drops those whose plane both endpoints clear by more than
-        ``SLAB_MARGIN`` on the same side.  With *radii*, *bounds* is in
-        world space while *start* and *end* are in the sphere space of an
-        ellipsoid with those semi-axes: there the plane ``n.x = n.a`` is
-        ``(n*r).p = n.a``, so the margin is scaled by ``|n*r|``.
+        The unit sphere's sweep box is the endpoints' box padded by
+        ``1 + SWEEP_BOX_SLACK``.  Of ``query_candidates(box)`` this keeps
+        the triangles whose box overlaps it (inclusive) and drops those
+        whose plane both endpoints clear by more than ``SLAB_MARGIN`` on the
+        same side.  With *radii*, *start* and *end* are in the sphere space
+        of an ellipsoid with those semi-axes: the box is scaled back to
+        world space (positive radii keep min and max in order), and there
+        the plane ``n.x = n.a`` is ``(n*r).p = n.a``, so the margin is
+        scaled by ``|n*r|``.
         """
+        pad = 1.0 + SWEEP_BOX_SLACK
+        lo = (min(start[0], end[0]) - pad, min(start[1], end[1]) - pad,
+              min(start[2], end[2]) - pad)
+        hi = (max(start[0], end[0]) + pad, max(start[1], end[1]) + pad,
+              max(start[2], end[2]) + pad)
+        if radii is not None:
+            rx, ry, rz = radii
+            lo = (lo[0] * rx, lo[1] * ry, lo[2] * rz)
+            hi = (hi[0] * rx, hi[1] * ry, hi[2] * rz)
+        bounds = (lo, hi)
         found = self.query_candidates(bounds)
         if not found:
             return found
@@ -153,7 +153,6 @@ class World:
         planes = self._planes.take(found, axis=1)
         margin = SLAB_MARGIN
         if radii is not None:
-            rx, ry, rz = radii
             start = (start[0] * rx, start[1] * ry, start[2] * rz)
             end = (end[0] * rx, end[1] * ry, end[2] * rz)
             margin = SLAB_MARGIN * np.sqrt(np.dot((rx * rx, ry * ry, rz * rz), planes[:3] ** 2))
@@ -163,25 +162,22 @@ class World:
                 & (np.maximum(dist[0], dist[1]) >= -margin))
         return found[keep].tolist()
 
-    def candidates(self, bounds: Bounds, start: Vec3, end: Vec3) -> list[tuple[int, Triangle]]:
-        """``(index, triangle)`` pairs for ``sweep_indices(bounds, start, end)``."""
+    def candidates(self, start: Vec3, end: Vec3) -> list[tuple[int, Triangle]]:
+        """``(index, triangle)`` pairs for ``sweep_indices(start, end)``."""
         triangles = self.triangles
-        return [(index, triangles[index]) for index in self.sweep_indices(bounds, start, end)]
+        return [(index, triangles[index]) for index in self.sweep_indices(start, end)]
 
     def brute_force_indices(self, bounds: Bounds) -> list[int]:
         """Exact AABB-overlap scan of every triangle; the grid-free reference."""
         return np.flatnonzero((self._boxes <= _overlap_column(bounds)).all(axis=0)).tolist()
 
 
-def build_world(triangles: Sequence[Triangle], cell_size: float = DEFAULT_CELL_SIZE) -> World:
-    """Index *triangles* into a uniform grid.
+def build_world(triangles: Sequence[Triangle]) -> World:
+    """Index *triangles* into a uniform grid of ``CELL_SIZE`` cells.
 
-    Deterministic for identical input order; rejects non-positive cell
-    sizes, and grids of more than ``MAX_CELL_ENTRIES`` entries before
-    building any of them.
+    Deterministic for identical input order; rejects grids of more than
+    ``MAX_CELL_ENTRIES`` entries before building any of them.
     """
-    if not (cell_size > 0.0):
-        raise ValueError(f"cell_size must be positive, got {cell_size!r}")
     tris = tuple(triangles)
     count = len(tris)
     # One flat pass over the triangles' a, b, c and normal.
@@ -191,14 +187,14 @@ def build_world(triangles: Sequence[Triangle], cell_size: float = DEFAULT_CELL_S
     hi = flat[:, :3].max(axis=1)
     normal, a = flat[:, 3], flat[:, 0]
     offset = normal[:, 0] * a[:, 0] + normal[:, 1] * a[:, 1] + normal[:, 2] * a[:, 2]
-    lo_cells = _cell_coords(lo, cell_size)
-    hi_cells = _cell_coords(hi, cell_size)
+    lo_cells = _cell_coords(lo)
+    hi_cells = _cell_coords(hi)
     entries = sum((x1 - x0 + 1) * (y1 - y0 + 1) * (z1 - z0 + 1)
                   for x0, y0, z0, x1, y1, z1 in zip(*lo_cells, *hi_cells))
     if entries > MAX_CELL_ENTRIES:
         raise ValueError(
             f"the grid would hold {entries} cell entries, more than {MAX_CELL_ENTRIES}, "
-            f"at cell size {cell_size!r}: the triangles are too large for the cells"
+            f"at cell size {CELL_SIZE!r}: the triangles are too large for the cells"
         )
     cells: dict[tuple[int, int, int], list[int]] = {}
     for index, x0, y0, z0, x1, y1, z1 in zip(range(count), *lo_cells, *hi_cells):
@@ -207,5 +203,5 @@ def build_world(triangles: Sequence[Triangle], cell_size: float = DEFAULT_CELL_S
                 for iz in range(z0, z1 + 1):
                     cells.setdefault((ix, iy, iz), []).append(index)
     # Appending in index order already leaves each bucket sorted ascending.
-    return World(tris, cell_size, cells, np.hstack((lo, -hi)).T.copy(),
+    return World(tris, cells, np.hstack((lo, -hi)).T.copy(),
                  np.column_stack((normal, -offset)).T.copy())

@@ -1,0 +1,50 @@
+"""The benchmark's tracer still finds every library entry point it wraps.
+
+``bench/spans.py`` swaps module functions and class methods for timed
+wrappers by name, so renaming or re-signing one of them silently breaks
+``bench/run.py --trace 1``.  This runs the three kinds of work the
+benchmark traces, with and without the tracer, and checks that the hooks
+fired, saw no broadphase miss, and changed no result.
+"""
+
+import sys
+from pathlib import Path
+
+from sweepslide import (
+    EllipsoidRadii,
+    EllipsoidWorldView,
+    build_world,
+    builtin_mesh,
+    builtin_scenario,
+    run_scenario,
+    sphere_sweep,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import spans  # noqa: E402
+
+START, VELOCITY = (0.3, -0.2, 2.5), (1.5, 0.7, -3.0)
+
+
+def _work():
+    world = build_world(builtin_mesh("obtuse_corner"))
+    scenario = builtin_scenario("obtuse_corner", frames=5, algorithm="both")
+    return world, [
+        sphere_sweep(world, START, VELOCITY),
+        sphere_sweep(EllipsoidWorldView(world, EllipsoidRadii(2.0, 1.0, 0.5)), START, VELOCITY),
+        run_scenario(scenario),
+    ]
+
+
+def test_tracer_hooks_fire_and_change_nothing():
+    _, plain = _work()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        world, traced = _work()
+    assert tracer.problems == []
+    calls = {name: count for name, (count, _, _) in tracer.by_name().items()}
+    for name in ("world.query", "detect.narrowphase", "ellipsoid.view"):
+        assert calls.get(name, 0) > 0, name
+    assert traced == plain
+    assert sum(len(bucket) for bucket in world._cells.values()) > 0

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import sweepslide
@@ -89,6 +90,20 @@ def test_grid_too_large_to_build_errors(tmp_path, capsys):
                                 "start": [0, 0, 3], "velocity": [0, 0, -1]}))
     assert main(["run", str(path)]) == 2
     assert "error: the grid would hold" in capsys.readouterr().err
+
+
+def test_mesh_overflowing_in_sphere_space_errors(tmp_path, capsys):
+    # The floor divided by a radius of 1e-300 is finite, but the audit's
+    # products of its coordinates are not.
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps({"mesh": {"builtin": "floor"}, "start": [0, 0, 3],
+                                "velocity": [0, 0, -1], "radii": [1e-300, 1, 1]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "mesh overflows" in err and "(1e-300, 1.0, 1.0)" in err
 
 
 def test_missing_scenario_file_errors(capsys):

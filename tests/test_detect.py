@@ -24,7 +24,6 @@ from sweepslide.detect import (
     check_collision,
     closest_point_on_triangle,
     point_in_triangle,
-    sweep_bounds,
     sweep_unit_sphere_triangle,
 )
 from sweepslide.world import build_world
@@ -202,7 +201,7 @@ def test_check_collision_calls_the_narrowphase_through_the_module(monkeypatch):
         source = tuple(rng.uniform(-5, 5) for _ in range(3))
         vel = tuple(rng.uniform(-3, 3) for _ in range(3))
         end = add(source, vel)
-        expected = len(world.candidates(sweep_bounds(source, end), source, end))
+        expected = len(world.candidates(source, end))
         del calls[:]
         check_collision(world, source, vel)
         assert len(calls) == expected
@@ -335,7 +334,7 @@ def _ref_sweep(source, vel, tri):
 def _ref_check_collision(world, source, vel):
     end = add(source, vel)
     best = None
-    for index, tri in world.candidates(sweep_bounds(source, end), source, end):
+    for index, tri in world.candidates(source, end):
         hit = _ref_sweep(source, vel, tri)
         if hit is not None and (best is None or hit.t < best.t):
             best = replace(hit, triangle_index=index)

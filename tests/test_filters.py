@@ -13,7 +13,7 @@ import random
 import pytest
 
 from sweepslide.core import Triangle, add, sub
-from sweepslide.detect import check_collision, sweep_bounds, sweep_unit_sphere_triangle
+from sweepslide.detect import check_collision, sweep_unit_sphere_triangle
 from sweepslide.ellipsoid import EllipsoidRadii, EllipsoidWorldView, triangle_to_sphere_space
 from sweepslide.mesh import builtin_mesh
 from sweepslide.world import SLAB_MARGIN, build_world
@@ -46,7 +46,7 @@ def _assert_same_as_scan(world, radii, source, vel):
         assert got is not None
         assert (got.t, got.contact_point, got.triangle_index) == (hit.t, hit.contact_point, index)
     end = add(source, vel)
-    kept = [index for index, _ in view.candidates(sweep_bounds(source, end), source, end)]
+    kept = [index for index, _ in view.candidates(source, end)]
     assert kept == sorted(set(kept))
     assert set(hit_indices) <= set(kept)
     return got
@@ -186,13 +186,18 @@ def test_filters_drop_box_misses_and_slab_clears():
     crossed = Triangle((0.0, -1.0, 0.0), (1.0, 1.0, 0.0), (-1.0, 1.0, 0.0))
     outside = Triangle((3.0, 3.0, 3.0), (3.5, 3.0, 3.0), (3.0, 3.5, 3.0))
     cleared = Triangle((1.0, 1.0, 2.5), (3.0, 1.0, 0.5), (1.0, 3.0, 0.5))
-    world = build_world([crossed, outside, cleared], cell_size=16.0)
+    # A far triangle fills more cells than the sweep boxes' eight, so the
+    # grid walks those cells instead of scanning every triangle's box.
+    far = Triangle((100.0, 100.0, 100.0), (140.0, 100.0, 100.0), (100.0, 140.0, 100.0))
+    world = build_world([crossed, outside, cleared, far])
+    assert len(world._cells) > 8
     source, end = (0.0, 0.0, 1.5), (0.0, 0.0, -1.5)
-    box = sweep_bounds(source, end)
+    # The sweep's box: the endpoints' box padded by 1 + SWEEP_BOX_SLACK.
+    box = ((-1.01, -1.01, -2.51), (1.01, 1.01, 2.51))
     assert world.query_candidates(box) == [0, 1, 2]
-    assert world.sweep_indices(box, source, end) == [0]
+    assert world.sweep_indices(source, end) == [0]
     # Moving toward that plane keeps it; the other two leave the box.
     end = (0.9, 0.9, 1.5)
-    box = sweep_bounds(source, end)
+    box = ((-1.01, -1.01, 0.49), (1.91, 1.91, 2.51))
     assert world.query_candidates(box) == [0, 1, 2]
-    assert world.sweep_indices(box, source, end) == [2]
+    assert world.sweep_indices(source, end) == [2]

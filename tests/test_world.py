@@ -1,17 +1,11 @@
+import math
 import random
 
 import pytest
 
 from sweepslide.core import Triangle
 from sweepslide.mesh import builtin_mesh
-from sweepslide.world import MAX_CELL_ENTRIES, build_world, triangle_bounds
-
-
-def test_rejects_bad_cell_size():
-    with pytest.raises(ValueError):
-        build_world([], cell_size=0.0)
-    with pytest.raises(ValueError):
-        build_world([], cell_size=-1.0)
+from sweepslide.world import CELL_SIZE, MAX_CELL_ENTRIES, SWEEP_BOX_SLACK, build_world
 
 
 def test_rejects_a_grid_too_large_to_build():
@@ -27,10 +21,11 @@ def test_rejects_a_grid_too_large_to_build():
 def test_cell_entry_bound_counts_every_triangle():
     # Each triangle covers 1001 x 1001 cells, under the bound alone; four
     # of them together are past it.
-    wide = Triangle((0.0, 0.0, 0.5), (2000.0, 0.0, 0.5), (0.0, 2000.0, 0.5))
+    wide = Triangle((0.0, 0.0, 0.5), (4000.0, 0.0, 0.5), (0.0, 4000.0, 0.5))
+    assert CELL_SIZE == 4.0
     assert 1001 * 1001 <= MAX_CELL_ENTRIES < 4 * 1001 * 1001
     with pytest.raises(ValueError, match="4008004 cell entries"):
-        build_world([wide] * 4, cell_size=2.0)
+        build_world([wide] * 4)
 
 
 def test_empty_world_returns_nothing():
@@ -39,17 +34,17 @@ def test_empty_world_returns_nothing():
 
 
 def test_triangle_spanning_two_cells():
-    tri = Triangle((0.2, 0.2, 0.2), (1.5, 0.3, 0.2), (0.8, 0.9, 0.4))
-    world = build_world([tri], cell_size=1.0)
+    tri = Triangle((0.8, 0.8, 0.8), (6.0, 1.2, 0.8), (3.2, 3.6, 1.6))
+    world = build_world([tri])
     # visible from a box confined to either cell
-    assert world.query_candidates(((0.0, 0.0, 0.0), (0.9, 0.9, 0.9))) == [0]
-    assert world.query_candidates(((1.1, 0.0, 0.0), (1.9, 0.9, 0.9))) == [0]
+    assert world.query_candidates(((0.0, 0.0, 0.0), (3.6, 3.6, 3.6))) == [0]
+    assert world.query_candidates(((4.4, 0.0, 0.0), (7.6, 3.6, 3.6))) == [0]
 
 
 def test_query_misses_far_box():
-    tri = Triangle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-    world = build_world([tri], cell_size=1.0)
-    assert world.query_candidates(((50.0, 50.0, 50.0), (52.0, 52.0, 52.0))) == []
+    tri = Triangle((0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (0.0, 4.0, 0.0))
+    world = build_world([tri])
+    assert world.query_candidates(((200.0, 200.0, 200.0), (208.0, 208.0, 208.0))) == []
 
 
 def test_whole_world_box_returns_all():
@@ -62,7 +57,9 @@ def test_self_query_completeness():
     tris = builtin_mesh("random_soup", n=1000, seed=5, extent=30.0)
     world = build_world(tris)
     for i, tri in enumerate(tris):
-        assert i in world.query_candidates(triangle_bounds(tri))
+        corners = list(zip(tri.a, tri.b, tri.c))
+        box = (tuple(map(min, corners)), tuple(map(max, corners)))
+        assert i in world.query_candidates(box)
 
 
 def test_superset_of_brute_force_overlap():
@@ -82,12 +79,33 @@ def test_superset_of_brute_force_overlap():
         assert got == sorted(set(got))
 
 
+def test_huge_box_query_is_the_exact_scan():
+    # A box with more cells than the grid holds is answered by the exact
+    # scan, so even a box 1e20 wide costs one pass over the triangles.
+    rng = random.Random(4)
+    world = build_world(builtin_mesh("random_soup", n=200, seed=8, extent=15.0))
+    occupied = len(world._cells)
+    boxes = [((-1e20, -1e20, -1e20), (1e20, 1e20, 1e20)),
+             ((-1e20, 0.0, 0.0), (1e20, 1.0, 1.0)),
+             ((-3.0, -1e20, 2.5), (-2.0, 1e20, 3.0))]
+    for _ in range(50):
+        lo = [rng.uniform(-20, 20) for _ in range(3)]
+        boxes.append((tuple(lo), tuple(v + rng.uniform(45, 80) for v in lo)))
+    for lo, hi in boxes:
+        cells = math.prod(math.floor(h / CELL_SIZE) - math.floor(v / CELL_SIZE) + 1
+                          for v, h in zip(lo, hi))
+        assert cells > occupied
+        assert world.query_candidates((lo, hi)) == world.brute_force_indices((lo, hi))
+    # Not a trivial case: the thin slab holds some of the triangles, not all.
+    assert 0 < len(world.brute_force_indices(boxes[1])) < 200
+
+
 def test_negative_coordinates_not_dropped():
     # Cells on the negative side must use floored coordinates; truncation
     # toward zero would merge cells -1 and 0.
-    tri = Triangle((-5.0, -5.0, -5.0), (-4.5, -5.0, -5.0), (-5.0, -4.5, -5.0))
-    world = build_world([tri], cell_size=1.0)
-    assert world.query_candidates(((-5.2, -5.2, -5.2), (-4.8, -4.8, -4.8))) == [0]
+    tri = Triangle((-20.0, -20.0, -20.0), (-18.0, -20.0, -20.0), (-20.0, -18.0, -20.0))
+    world = build_world([tri])
+    assert world.query_candidates(((-20.8, -20.8, -20.8), (-19.2, -19.2, -19.2))) == [0]
 
 
 def test_build_is_deterministic():
@@ -100,13 +118,17 @@ def test_build_is_deterministic():
 
 def test_box_tests_are_inclusive():
     # A box that only touches the triangle's box still overlaps it.
-    tri = Triangle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-    world = build_world([tri], cell_size=1.0)
-    touching = ((1.0, 1.0, 0.0), (3.0, 3.0, 2.0))
+    tri = Triangle((0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (0.0, 4.0, 0.0))
+    world = build_world([tri])
+    touching = ((4.0, 4.0, 0.0), (12.0, 12.0, 8.0))
     assert world.brute_force_indices(touching) == [0]
-    assert world.brute_force_indices(((1.0 + 1e-12, 0.0, 0.0), (3.0, 3.0, 2.0))) == []
-    # A sweep whose box only touches it, crossing its plane inside the slab.
-    assert world.sweep_indices(touching, (2.0, 2.0, 0.5), (2.0, 2.0, 1.5)) == [0]
+    assert world.brute_force_indices(((4.0 + 1e-12, 0.0, 0.0), (12.0, 12.0, 8.0))) == []
+    # A sweep whose padded box only touches it, crossing its plane inside
+    # the slab.
+    start, end = (5.01, 5.01, 0.5), (5.01, 5.01, 1.5)
+    assert start[0] - (1.0 + SWEEP_BOX_SLACK) == 4.0
+    assert world.sweep_indices(start, end) == [0]
+    assert world.sweep_indices((5.02, 5.02, 0.5), (5.02, 5.02, 1.5)) == []
 
 
 def test_cells_beyond_int64_are_exact():
