@@ -28,7 +28,7 @@ from .ellipsoid import (
     to_sphere_space,
 )
 from .legacy import LegacyConfig, collide_with_world_legacy
-from .mesh import MeshParseError, ObjLoadResult, builtin_mesh, load_obj_mesh
+from .mesh import MeshParseError, builtin_mesh, load_obj_mesh
 from .response import FrameResult, ResponseConfig, sphere_sweep
 from .scenario import (
     MeshSource,
@@ -53,7 +53,6 @@ __all__ = [
     "LegacyConfig",
     "MeshParseError",
     "MeshSource",
-    "ObjLoadResult",
     "Plane",
     "ResponseConfig",
     "Scenario",

@@ -10,6 +10,7 @@ mixed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "robust_quadratic_roots",
     "check_stand_off",
     "check_motion",
+    "as_type",
 ]
 
 Vec3 = tuple[float, float, float]
@@ -46,7 +48,7 @@ class DegenerateVectorError(ValueError):
 
 
 class DegenerateTriangleError(ValueError):
-    """Triangle vertices are collinear; it has no usable normal."""
+    """Triangle vertices are collinear or not finite; it has no usable normal."""
 
 
 def add(a: Vec3, b: Vec3) -> Vec3:
@@ -85,6 +87,20 @@ def check_stand_off(name: str, value: float) -> None:
     """Reject a stand-off tolerance outside ``0 < value < 0.1`` (NaN too)."""
     if not (0.0 < value < 0.1):
         raise ValueError(f"{name} must lie in (0, 0.1), got {value!r}")
+
+
+def as_type(value, expected: type, what: str):
+    """*value* as an *expected*, or ``ValueError`` naming *what*.
+
+    An ``int`` or a ``str`` takes only its own type; a ``float`` takes an
+    int or a float within the float range (not NaN).  A bool is no number.
+    """
+    allowed = (int, float) if expected is float else expected
+    if (isinstance(value, bool) or not isinstance(value, allowed)
+            or expected is float and not abs(value) <= sys.float_info.max):
+        finite = " and finite" if expected is float else ""
+        raise ValueError(f"{what} must be {expected.__name__}{finite}, got {value!r}")
+    return expected(value)
 
 
 def check_motion(pos: Vec3, vel: Vec3) -> None:
@@ -137,7 +153,8 @@ class Triangle:
     round-off drift that would come with it.  Construction rejects
     collinear vertices: the sine of the angle at ``a``,
     ``|ab x ac| / (|ab| |ac|)``, must exceed ``DEGENERATE_LENGTH``.  The
-    test is relative, so scaling a triangle never makes it degenerate.
+    test is relative, so scaling a triangle never makes it degenerate; a
+    non-finite vertex fails it too.
     """
 
     a: Vec3
@@ -154,11 +171,12 @@ class Triangle:
         ny = abz * acx - abx * acz
         nz = abx * acy - aby * acx
         nn = nx * nx + ny * ny + nz * nz
-        # Squares on both sides: no square root for the test.
-        if nn <= (DEGENERATE_LENGTH * DEGENERATE_LENGTH
-                  * (abx * abx + aby * aby + abz * abz) * (acx * acx + acy * acy + acz * acz)):
+        # Squares on both sides: no square root for the test.  Written as
+        # "not above" so a NaN, from a non-finite vertex, is rejected too.
+        if not nn > (DEGENERATE_LENGTH * DEGENERATE_LENGTH
+                     * (abx * abx + aby * aby + abz * abz) * (acx * acx + acy * acy + acz * acz)):
             raise DegenerateTriangleError(
-                f"collinear triangle vertices: {self.a!r}, {self.b!r}, {self.c!r}"
+                f"collinear or non-finite triangle vertices: {self.a!r}, {self.b!r}, {self.c!r}"
             )
         m = math.sqrt(nn)
         object.__setattr__(self, "normal", (nx / m, ny / m, nz / m))

@@ -4,8 +4,8 @@ The OBJ subset is deliberately small: ``v x y z`` vertices and ``f i j k...``
 faces (1-based; negative indices count from the end; polygons are fanned
 from the first vertex).  Face entries may carry ``/texture/normal`` suffixes,
 which are ignored.  Every other record type is skipped.  Collinear faces are
-dropped, and counted in ``ObjLoadResult.degenerate_count``, instead of
-failing the whole load.
+dropped instead of failing the whole load; a non-finite vertex coordinate
+is an error.
 """
 
 from __future__ import annotations
@@ -13,22 +13,15 @@ from __future__ import annotations
 import inspect
 import math
 import random
-from dataclasses import dataclass
 from functools import partial
 
-from .core import DegenerateTriangleError, Triangle, Vec3
+from .core import DegenerateTriangleError, Triangle, Vec3, as_type
 
-__all__ = ["MeshParseError", "ObjLoadResult", "load_obj_mesh", "builtin_mesh", "BUILTIN_MESHES"]
+__all__ = ["MeshParseError", "load_obj_mesh", "builtin_mesh", "BUILTIN_MESHES"]
 
 
 class MeshParseError(ValueError):
     """An OBJ record could not be parsed; the message carries file:line."""
-
-
-@dataclass(frozen=True)
-class ObjLoadResult:
-    triangles: list[Triangle]
-    degenerate_count: int
 
 
 def _resolve_index(raw: int, count: int, path: str, lineno: int) -> int:
@@ -40,7 +33,7 @@ def _resolve_index(raw: int, count: int, path: str, lineno: int) -> int:
     return index
 
 
-def load_obj_mesh(path: str) -> ObjLoadResult:
+def load_obj_mesh(path: str) -> list[Triangle]:
     """Read the OBJ subset above from *path*.
 
     Raises :class:`MeshParseError` with a line number on malformed records
@@ -48,7 +41,6 @@ def load_obj_mesh(path: str) -> ObjLoadResult:
     """
     vertices: list[Vec3] = []
     triangles: list[Triangle] = []
-    degenerate = 0
 
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -60,9 +52,12 @@ def load_obj_mesh(path: str) -> ObjLoadResult:
                 if len(tokens) < 4:
                     raise MeshParseError(f"{path}:{lineno}: vertex needs 3 coordinates")
                 try:
-                    vertices.append((float(tokens[1]), float(tokens[2]), float(tokens[3])))
+                    vertex = (float(tokens[1]), float(tokens[2]), float(tokens[3]))
                 except ValueError as exc:
                     raise MeshParseError(f"{path}:{lineno}: bad vertex coordinate: {exc}") from exc
+                if not all(map(math.isfinite, vertex)):
+                    raise MeshParseError(f"{path}:{lineno}: non-finite vertex {vertex!r}")
+                vertices.append(vertex)
             elif kind == "f":
                 if len(tokens) < 4:
                     raise MeshParseError(f"{path}:{lineno}: face needs at least 3 vertices")
@@ -76,10 +71,10 @@ def load_obj_mesh(path: str) -> ObjLoadResult:
                         triangles.append(Triangle(vertices[idx[0]], vertices[idx[k]],
                                                   vertices[idx[k + 1]]))
                     except DegenerateTriangleError:
-                        degenerate += 1
+                        pass
             # all other record types (vn, vt, g, o, s, usemtl, mtllib, ...) ignored
 
-    return ObjLoadResult(triangles, degenerate)
+    return triangles
 
 
 def _floor_mesh(size: float = 200.0) -> list[Triangle]:
@@ -133,6 +128,7 @@ def _random_soup_mesh(n: int = 50, seed: int = 0, extent: float = 10.0) -> list[
     rng = random.Random(seed)
     edge = max(extent / 4.0, 0.5)
     tris: list[Triangle] = []
+    rejected = 0
     while len(tris) < n:
         base = (rng.uniform(-extent, extent), rng.uniform(-extent, extent),
                 rng.uniform(-extent, extent))
@@ -142,7 +138,10 @@ def _random_soup_mesh(n: int = 50, seed: int = 0, extent: float = 10.0) -> list[
             tris.append(Triangle(base, (base[0] + u[0], base[1] + u[1], base[2] + u[2]),
                                  (base[0] + v[0], base[1] + v[1], base[2] + v[2])))
         except DegenerateTriangleError:
-            continue
+            # Rare, unless the extent is so large that every square overflows.
+            rejected += 1
+            if rejected > n + 100:
+                raise ValueError(f"random_soup extent {extent!r} yields no triangles") from None
     return tris
 
 
@@ -173,10 +172,8 @@ def builtin_mesh(kind: str, **params) -> list[Triangle]:
     unknown = set(params) - set(parameters)
     if unknown:
         raise ValueError(f"unknown parameters for {kind!r}: {sorted(unknown)}")
-    for name, value in params.items():
-        # Every parameter's default is an int or a float; a float takes an int too.
-        expected = type(parameters[name].default)
-        if isinstance(value, bool) or not isinstance(value, (int, expected)):
-            raise ValueError(f"parameter {name!r} of {kind!r} must be {expected.__name__}, "
-                             f"got {value!r}")
-    return generator(**params)
+    # Every parameter's default is an int or a float.
+    checked = {name: as_type(value, type(parameters[name].default),
+                             f"parameter {name!r} of {kind!r}")
+               for name, value in params.items()}
+    return generator(**checked)

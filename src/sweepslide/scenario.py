@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import Triangle, Vec3, check_stand_off, distance, dot
+from .core import Triangle, Vec3, as_type, check_stand_off, distance, dot
 from .ellipsoid import EllipsoidRadii, EllipsoidWorldView, from_sphere_space, to_sphere_space
 from .legacy import LegacyConfig, collide_with_world_legacy
 from .mesh import builtin_mesh, load_obj_mesh
@@ -38,7 +38,6 @@ __all__ = [
     "run_scenario",
     "report",
     "summarize",
-    "mesh_array",
     "min_distance_to_mesh",
     "mesh_distances",
     "REPORT_COLUMNS",
@@ -66,7 +65,7 @@ class MeshSource:
 
     def load(self) -> list[Triangle]:
         if self.path is not None:
-            return load_obj_mesh(self.path).triangles
+            return load_obj_mesh(self.path)
         return builtin_mesh(self.builtin, **self.params)
 
 
@@ -112,19 +111,15 @@ class TrajectoryRecord:
     planes_hit: int
 
 
-def _cast(value, cast, what: str):
-    """``cast(value)``, with a wrong type reported as ``ValueError``."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be {cast.__name__}, got {value!r}") from None
-
-
 def _vec(value, what: str) -> Vec3:
     if not (isinstance(value, (list, tuple)) and len(value) == 3):
         raise ValueError(f"{what} must be a 3-element list, got {value!r}")
-    return (_cast(value[0], float, what), _cast(value[1], float, what),
-            _cast(value[2], float, what))
+    return tuple(as_type(c, float, what) for c in value)
+
+
+# Top-level keys of a scenario file; "seed" is accepted and ignored.
+_OPTIONAL = {"frames": int, "algorithm": str, "epsilon": float, "legacy_max_recursion": int}
+_KEYS = {"name", "mesh", "start", "velocity", "radii", "seed", *_OPTIONAL}
 
 
 def load_scenario(path: str) -> Scenario:
@@ -136,13 +131,16 @@ def load_scenario(path: str) -> Scenario:
 
 def scenario_from_dict(raw: dict) -> Scenario:
     """Build a scenario from the file schema; absent keys keep ``Scenario``'s defaults."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"a scenario must be a JSON object, got {type(raw).__name__}")
+    unknown = set(raw) - _KEYS
+    if unknown:
+        raise ValueError(f"unknown scenario keys {sorted(unknown)}; known: {sorted(_KEYS)}")
     mesh_raw = raw.get("mesh")
     if not isinstance(mesh_raw, dict):
         raise ValueError("scenario 'mesh' must be an object with 'path' or 'builtin'")
     if "path" in mesh_raw:
-        if not isinstance(mesh_raw["path"], str):
-            raise ValueError(f"mesh 'path' must be a string, got {mesh_raw['path']!r}")
-        mesh = MeshSource(path=mesh_raw["path"])
+        mesh = MeshSource(path=as_type(mesh_raw["path"], str, "mesh 'path'"))
     else:
         params = {k: v for k, v in mesh_raw.items() if k != "builtin"}
         mesh = MeshSource(builtin=mesh_raw.get("builtin"), params=params)
@@ -154,8 +152,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     else:
         velocity = _vec(velocity_raw, "velocity")
 
-    optional = {"frames": int, "algorithm": str, "epsilon": float, "legacy_max_recursion": int}
-    given = {key: _cast(raw[key], cast, key) for key, cast in optional.items() if key in raw}
+    given = {key: as_type(raw[key], cast, key) for key, cast in _OPTIONAL.items() if key in raw}
     if "radii" in raw:
         given["radii"] = EllipsoidRadii(*_vec(raw["radii"], "radii"))
 
@@ -212,13 +209,6 @@ def builtin_scenario(kind: str, *, angle: float | None = None, frames: int | Non
         if value is not None:
             raw["mesh"][key] = value
     return scenario_from_dict(raw)
-
-
-def mesh_array(triangles: list[Triangle]) -> np.ndarray:
-    """Vertices as an ``(n, 3, 3)`` float array for the distance oracle."""
-    if not triangles:
-        return np.zeros((0, 3, 3))
-    return np.array([[t.a, t.b, t.c] for t in triangles], dtype=float)
 
 
 # Points per block of mesh_distances are chosen so that a block has about
@@ -371,15 +361,14 @@ def run_scenario(scenario: Scenario) -> dict[str, list[TrajectoryRecord]]:
     start position penetrates the mesh, or when the start, a velocity or
     the mesh is out of range in sphere space.
     """
-    triangles = scenario.mesh.load()
-    world = build_world(triangles)
+    world = build_world(scenario.mesh.load())
     radii = scenario.radii
     start_s, velocities = _sphere_space_program(scenario)
     try:
         # A finite mesh divided by a tiny radius can leave coordinates whose
         # products overflow: the audit would read NaN and pass.
         with np.errstate(over="raise", invalid="raise"):
-            sphere_tris = mesh_array(triangles) / np.array(radii.as_tuple())[None, None, :]
+            sphere_tris = world.vertices / np.array(radii.as_tuple())[None, None, :]
             start_dist = min_distance_to_mesh(start_s, sphere_tris)
     except FloatingPointError:
         raise ValueError(

@@ -34,16 +34,14 @@ from .ellipsoid import EllipsoidRadii, from_sphere_space, to_sphere_space
 from .legacy import LegacyConfig, collide_with_world_legacy
 from .mesh import builtin_mesh
 from .response import MIN_VELOCITY, ResponseConfig, project_dest_one_plane, sphere_sweep
-from .scenario import (
-    builtin_scenario,
-    mesh_array,
-    mesh_distances,
-    min_distance_to_mesh,
-    run_scenario,
-)
-from .world import build_world
+from .scenario import builtin_scenario, mesh_distances, min_distance_to_mesh, run_scenario
+from .world import World, build_world
 
 __all__ = ["CheckResult", "run_all"]
+
+ORACLE_TRIALS = 1000
+# The fuzz corpus's soups lie in [-FUZZ_EXTENT, FUZZ_EXTENT]^3.
+FUZZ_EXTENT = 8.0
 
 
 @dataclass(frozen=True)
@@ -61,20 +59,21 @@ def _random_unit(rng: random.Random) -> Vec3:
             return (v[0] / n, v[1] / n, v[2] / n)
 
 
-def _fuzz_worlds(count: int, tri_count: int, extent: float):
-    worlds = []
-    for i in range(count):
-        tris = builtin_mesh("random_soup", n=tri_count, seed=1000 + i, extent=extent)
-        worlds.append((build_world(tris), mesh_array(tris)))
-    return worlds
+def _clear_start(rng: random.Random, world: World, extent: float) -> Vec3:
+    """A uniform point of ``[-extent, extent]^3`` at least one radius from every triangle."""
+    while True:
+        pos = (rng.uniform(-extent, extent), rng.uniform(-extent, extent),
+               rng.uniform(-extent, extent))
+        if min_distance_to_mesh(pos, world.vertices) >= 1.000001:
+            return pos
 
 
 # --- criteria 1 and 2: iteration bounds and non-penetration on one corpus ---
 
 def _run_fuzz_corpus(trials: int, seed: int):
     rng = random.Random(seed)
-    extent = 8.0
-    worlds = _fuzz_worlds(10, 40, extent)
+    worlds = [build_world(builtin_mesh("random_soup", n=40, seed=1000 + i, extent=FUZZ_EXTENT))
+              for i in range(10)]
     improved_cfg = ResponseConfig()
     legacy_cfg = LegacyConfig(max_recursion=5)
 
@@ -90,12 +89,8 @@ def _run_fuzz_corpus(trials: int, seed: int):
     start = time.perf_counter()
     for i in range(trials):
         k = i % len(worlds)
-        world, tris = worlds[k]
-        while True:
-            pos = (rng.uniform(-extent, extent), rng.uniform(-extent, extent),
-                   rng.uniform(-extent, extent))
-            if min_distance_to_mesh(pos, tris) >= 1.000001:
-                break
+        world = worlds[k]
+        pos = _clear_start(rng, world, FUZZ_EXTENT)
         if rng.random() < 0.5:
             # Aim at a random triangle so contact-heavy paths stay exercised.
             tri = world.triangles[rng.randrange(len(world.triangles))]
@@ -117,8 +112,8 @@ def _run_fuzz_corpus(trials: int, seed: int):
         legacy_max_iter = max(legacy_max_iter, leg.iterations)
         legacy_ends[k].append(leg.final_pos)
 
-    for (_, tris), improved, legacy in zip(worlds, improved_ends, legacy_ends):
-        clearance = mesh_distances(improved + legacy, tris)
+    for world, improved, legacy in zip(worlds, improved_ends, legacy_ends):
+        clearance = mesh_distances(improved + legacy, world.vertices)
         violated = clearance < 1.0 - 1e-6
         n = len(improved)
         worst_clearance = min([worst_clearance, *clearance[:n].tolist()])
@@ -244,12 +239,12 @@ def check_crease_confinement() -> CheckResult:
 
 # --- criterion 6: one-plane projection stand-off ---
 
-def check_one_plane_projection(trials: int = 1000, seed: int = 7) -> CheckResult:
-    rng = random.Random(seed)
+def check_one_plane_projection() -> CheckResult:
+    rng = random.Random(7)
     cfg = ResponseConfig()
     long_radius = 1.0 + cfg.very_close_dist
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(ORACLE_TRIALS):
         plane = Plane(
             (rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-10, 10)),
             _random_unit(rng),
@@ -260,7 +255,7 @@ def check_one_plane_projection(trials: int = 1000, seed: int = 7) -> CheckResult
     return CheckResult(
         "one-plane-projection",
         worst <= 1e-9,
-        f"{trials} random pairs, worst stand-off error {worst:.3e} (bound 1e-9)",
+        f"{ORACLE_TRIALS} random pairs, worst stand-off error {worst:.3e} (bound 1e-9)",
     )
 
 
@@ -296,8 +291,7 @@ def _random_hit_case(rng: random.Random):
         return source, vel, tri
 
 
-def _bisect_first_contact(source: Vec3, vel: Vec3, tri: Triangle,
-                          samples: int = 4096) -> float | None:
+def _bisect_first_contact(source: Vec3, vel: Vec3, tri: Triangle) -> float | None:
     """First t with center-to-triangle distance <= 1, by march + bisection.
 
     Completely independent of the swept test: it only evaluates the
@@ -312,6 +306,7 @@ def _bisect_first_contact(source: Vec3, vel: Vec3, tri: Triangle,
     prev_g = gap(0.0)
     if prev_g <= 0.0:
         return 0.0
+    samples = 4096
     for k in range(1, samples + 1):
         t = k / samples
         g = gap(t)
@@ -328,13 +323,13 @@ def _bisect_first_contact(source: Vec3, vel: Vec3, tri: Triangle,
     return None
 
 
-def check_detection_oracle(trials: int = 1000, seed: int = 11) -> CheckResult:
-    rng = random.Random(seed)
+def check_detection_oracle() -> CheckResult:
+    rng = random.Random(11)
     worst_dt = 0.0
     worst_tangency = 0.0
     compared = 0
     attempts = 0
-    while compared < trials and attempts < trials * 20:
+    while compared < ORACLE_TRIALS and attempts < ORACLE_TRIALS * 20:
         attempts += 1
         source, vel, tri = _random_hit_case(rng)
         hit = sweep_unit_sphere_triangle(source, vel, tri)
@@ -347,7 +342,7 @@ def check_detection_oracle(trials: int = 1000, seed: int = 11) -> CheckResult:
         worst_dt = max(worst_dt, abs(hit.t - oracle_t))
         center = add(source, scale(vel, hit.t))
         worst_tangency = max(worst_tangency, abs(distance(center, hit.contact_point) - 1.0))
-    ok = compared >= trials and worst_dt <= 1e-5 and worst_tangency <= 1e-6
+    ok = compared >= ORACLE_TRIALS and worst_dt <= 1e-5 and worst_tangency <= 1e-6
     return CheckResult(
         "detection-oracle",
         ok,
@@ -358,20 +353,15 @@ def check_detection_oracle(trials: int = 1000, seed: int = 11) -> CheckResult:
 
 # --- criterion 8: broadphase soundness ---
 
-def check_broadphase(trials: int = 1000, seed: int = 13) -> CheckResult:
-    rng = random.Random(seed)
+def check_broadphase() -> CheckResult:
+    rng = random.Random(13)
     extent = 12.0
     tris = builtin_mesh("random_soup", n=500, seed=99, extent=extent)
     world = build_world(tris)
-    arr = mesh_array(tris)
     mismatches = 0
     hits = 0
-    for _ in range(trials):
-        while True:
-            pos = (rng.uniform(-extent, extent), rng.uniform(-extent, extent),
-                   rng.uniform(-extent, extent))
-            if min_distance_to_mesh(pos, arr) >= 1.000001:
-                break
+    for _ in range(ORACLE_TRIALS):
+        pos = _clear_start(rng, world, extent)
         vel = scale(_random_unit(rng), rng.uniform(0.0, 5.0))
         grid_hit = check_collision(world, pos, vel)
         brute_best = None
@@ -390,15 +380,16 @@ def check_broadphase(trials: int = 1000, seed: int = 13) -> CheckResult:
     return CheckResult(
         "broadphase-soundness",
         mismatches == 0,
-        f"{trials} queries over a 500-triangle soup ({hits} hits): "
+        f"{ORACLE_TRIALS} queries over a 500-triangle soup ({hits} hits): "
         f"{mismatches} grid/brute-force mismatches",
     )
 
 
 # --- criterion 9: quadratic solver vs extended precision ---
 
-def check_quadratic_oracle(trials: int = 2000, seed: int = 17) -> CheckResult:
-    rng = random.Random(seed)
+def check_quadratic_oracle() -> CheckResult:
+    rng = random.Random(17)
+    trials = 2000
     worst = 0.0
     checked = 0
     with localcontext() as ctx:
@@ -430,7 +421,7 @@ def check_quadratic_oracle(trials: int = 2000, seed: int = 17) -> CheckResult:
 
 # --- criterion 10: ellipsoid round trip ---
 
-def check_ellipsoid_roundtrip(seed: int = 23) -> CheckResult:
+def check_ellipsoid_roundtrip() -> CheckResult:
     radii = EllipsoidRadii(2.0, 1.0, 0.5)
     scenario = dataclasses.replace(builtin_scenario("floor", frames=2),
                                    name="ellipsoid-floor", radii=radii)
@@ -438,7 +429,7 @@ def check_ellipsoid_roundtrip(seed: int = 23) -> CheckResult:
     expected = (1.0 + scenario.epsilon) * radii.rz
     height_err = abs(records[-1].position[2] - expected)
 
-    rng = random.Random(seed)
+    rng = random.Random(23)
     worst_rel = 0.0
     for _ in range(500):
         v = (rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(-50, 50))

@@ -7,7 +7,8 @@ because worlds may be spatially large and mostly empty.
 
 The world also keeps every triangle's box and plane as float64 arrays, so
 the grid's answer to a sweep can be cut down with two vectorised filters
-before any triangle reaches the scalar narrowphase.
+before any triangle reaches the scalar narrowphase, and its vertices as one
+``(n, 3, 3)`` float64 block for the exhaustive audit, which reads no grid.
 """
 
 from __future__ import annotations
@@ -87,14 +88,16 @@ class World:
     so one ``<=`` against ``(hi, -lo)`` of a query box is the inclusive
     overlap test.  Column ``i`` of ``_planes`` is ``(n, -n.a)``, so
     ``(p, 1)`` times it is the signed distance of ``p`` from the plane.
+    Row ``i`` of ``vertices`` is triangle ``i``'s ``(a, b, c)``.
     """
 
-    __slots__ = ("triangles", "_cells", "_boxes", "_planes")
+    __slots__ = ("triangles", "vertices", "_cells", "_boxes", "_planes")
 
-    def __init__(self, triangles: tuple[Triangle, ...],
+    def __init__(self, triangles: tuple[Triangle, ...], vertices: np.ndarray,
                  cells: dict[tuple[int, int, int], list[int]],
                  boxes: np.ndarray, planes: np.ndarray):
         self.triangles = triangles
+        self.vertices = vertices
         self._cells = cells
         self._boxes = boxes
         self._planes = planes
@@ -183,8 +186,10 @@ def build_world(triangles: Sequence[Triangle]) -> World:
     # One flat pass over the triangles' a, b, c and normal.
     flat = np.fromiter(chain.from_iterable(chain(t.a, t.b, t.c, t.normal) for t in tris),
                        dtype=np.float64, count=12 * count).reshape(count, 4, 3)
-    lo = flat[:, :3].min(axis=1)
-    hi = flat[:, :3].max(axis=1)
+    vertices = flat[:, :3].copy()
+    vertices.flags.writeable = False  # public, and the audit trusts it
+    lo = vertices.min(axis=1)
+    hi = vertices.max(axis=1)
     normal, a = flat[:, 3], flat[:, 0]
     offset = normal[:, 0] * a[:, 0] + normal[:, 1] * a[:, 1] + normal[:, 2] * a[:, 2]
     lo_cells = _cell_coords(lo)
@@ -203,5 +208,5 @@ def build_world(triangles: Sequence[Triangle]) -> World:
                 for iz in range(z0, z1 + 1):
                     cells.setdefault((ix, iy, iz), []).append(index)
     # Appending in index order already leaves each bucket sorted ascending.
-    return World(tris, cells, np.hstack((lo, -hi)).T.copy(),
+    return World(tris, vertices, cells, np.hstack((lo, -hi)).T.copy(),
                  np.column_stack((normal, -offset)).T.copy())

@@ -10,7 +10,8 @@ import pytest
 
 from sweepslide import scenario
 from sweepslide.mesh import builtin_mesh
-from sweepslide.scenario import mesh_array, mesh_distances, min_distance_to_mesh
+from sweepslide.scenario import mesh_distances, min_distance_to_mesh
+from sweepslide.world import build_world
 
 OFFSETS = (0.0, 1e4, 1e6, 1e8)
 
@@ -24,7 +25,7 @@ def _heightfield(size: int) -> np.ndarray:
                            np.stack([p00, p11, p01], axis=-2).reshape(-1, 3, 3)])
 
 
-SOUP = mesh_array(builtin_mesh("random_soup", n=3000, seed=7, extent=30.0))
+SOUP = build_world(builtin_mesh("random_soup", n=3000, seed=7, extent=30.0)).vertices
 HEIGHTFIELD = _heightfield(12)
 
 
@@ -94,7 +95,7 @@ def test_matches_the_full_scan(mesh, offset):
 @pytest.mark.parametrize("kind", ["floor", "obtuse_corner", "acute_corner", "crease",
                                   "box_room"])
 def test_matches_on_builtin_meshes(kind):
-    tris = mesh_array(builtin_mesh(kind))
+    tris = build_world(builtin_mesh(kind)).vertices
     assert _mismatches(_probe_points(tris, np.random.default_rng(4), 40), tris) == 0
 
 

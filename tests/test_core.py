@@ -95,6 +95,17 @@ def test_triangle_rejects_collinear():
             Triangle(a, b, c)
 
 
+@pytest.mark.parametrize("a, b, c", [
+    ((math.nan, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+    ((math.inf, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 1.0)),
+    ((0.0, 0.0, 0.0), (math.inf, 1.0, 2.0), (1.0, math.inf, 3.0)),
+    ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, -math.inf, 0.0)),
+])
+def test_triangle_rejects_non_finite_vertices(a, b, c):
+    with pytest.raises(DegenerateTriangleError, match="collinear or non-finite"):
+        Triangle(a, b, c)
+
+
 @pytest.mark.parametrize("size", [1e-9, 1e-7, 1.0, 1e6])
 def test_triangle_degeneracy_is_scale_invariant(size):
     tri = Triangle((0.0, 0.0, 0.0), (size, 0.0, 0.0), (0.0, size, 0.0))

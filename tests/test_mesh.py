@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from sweepslide.core import dot, norm, sub
+from sweepslide.core import Triangle, dot, norm, sub
 from sweepslide.mesh import MeshParseError, builtin_mesh, load_obj_mesh
 
 
@@ -19,12 +19,11 @@ def test_load_simple_quad_mesh(tmp_path):
         "f 1 2 3\n"
         "f 1 3 4\n"
     )
-    result = load_obj_mesh(str(path))
-    assert len(result.triangles) == 2
-    assert result.degenerate_count == 0
-    assert result.triangles[0].a == (0.0, 0.0, 0.0)
-    assert result.triangles[0].b == (1.0, 0.0, 0.0)
-    assert result.triangles[1].c == (0.0, 1.0, 0.0)
+    triangles = load_obj_mesh(str(path))
+    assert len(triangles) == 2
+    assert triangles[0].a == (0.0, 0.0, 0.0)
+    assert triangles[0].b == (1.0, 0.0, 0.0)
+    assert triangles[1].c == (0.0, 1.0, 0.0)
 
 
 def test_fan_triangulation_of_polygon_faces(tmp_path):
@@ -33,34 +32,32 @@ def test_fan_triangulation_of_polygon_faces(tmp_path):
         "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\n"
         "f 1 2 3 4\n"
     )
-    result = load_obj_mesh(str(path))
-    assert len(result.triangles) == 2
+    triangles = load_obj_mesh(str(path))
+    assert len(triangles) == 2
     # fan rule: (1,2,3) and (1,3,4)
-    assert result.triangles[0].vertices() == ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0))
-    assert result.triangles[1].vertices() == ((0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0))
+    assert triangles[0].vertices() == ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0))
+    assert triangles[1].vertices() == ((0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0))
 
 
-def test_degenerate_face_skipped_with_count(tmp_path):
+def test_degenerate_face_skipped(tmp_path):
     path = tmp_path / "degen.obj"
-    path.write_text("v 0 0 0\nv 1 0 0\nf 1 2 1\n")
-    result = load_obj_mesh(str(path))
-    assert result.triangles == []
-    assert result.degenerate_count == 1
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 1\nf 1 2 3\n")
+    kept = Triangle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    assert load_obj_mesh(str(path)) == [kept]
 
 
 def test_negative_indices_resolve_from_end(tmp_path):
     path = tmp_path / "neg.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n")
-    result = load_obj_mesh(str(path))
-    assert len(result.triangles) == 1
-    assert result.triangles[0].a == (0.0, 0.0, 0.0)
+    triangles = load_obj_mesh(str(path))
+    assert len(triangles) == 1
+    assert triangles[0].a == (0.0, 0.0, 0.0)
 
 
 def test_slash_face_entries_use_vertex_index(tmp_path):
     path = tmp_path / "slash.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nvt 0 0\nvn 0 0 1\nf 1/1/1 2/1/1 3/1/1\n")
-    result = load_obj_mesh(str(path))
-    assert len(result.triangles) == 1
+    assert len(load_obj_mesh(str(path))) == 1
 
 
 def test_unknown_records_ignored(tmp_path):
@@ -69,7 +66,7 @@ def test_unknown_records_ignored(tmp_path):
         "mtllib x.mtl\no thing\ng grp\ns off\nusemtl m\n"
         "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
     )
-    assert len(load_obj_mesh(str(path)).triangles) == 1
+    assert len(load_obj_mesh(str(path))) == 1
 
 
 def test_parse_error_carries_line_number(tmp_path):
@@ -83,6 +80,14 @@ def test_out_of_range_index_rejected(tmp_path):
     path = tmp_path / "oob.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nf 1 2 9\n")
     with pytest.raises(MeshParseError, match="out of range"):
+        load_obj_mesh(str(path))
+
+
+@pytest.mark.parametrize("coordinate", ["inf", "-inf", "nan"])
+def test_non_finite_vertex_rejected_with_line(tmp_path, coordinate):
+    path = tmp_path / "nonfinite.obj"
+    path.write_text(f"v 0 1 0\nv {coordinate} 0 0\nv 1 0 0\nf 1 2 3\n")
+    with pytest.raises(MeshParseError, match=r"nonfinite\.obj:2: non-finite vertex"):
         load_obj_mesh(str(path))
 
 
@@ -176,3 +181,11 @@ def test_corner_presets_take_overrides():
                                                                       extent=50.0)
     for tri in builtin_mesh("acute_corner", extent=50.0):
         assert max(abs(c) for v in tri.vertices() for c in v) <= 50.0
+
+
+@pytest.mark.parametrize("extent", [1e100, math.inf, math.nan])
+def test_random_soup_rejects_an_extent_without_triangles(extent):
+    # Squares of 1e100 overflow, so every draw is degenerate; non-finite
+    # extents are refused before any draw.
+    with pytest.raises(ValueError, match="extent"):
+        builtin_mesh("random_soup", n=5, extent=extent)

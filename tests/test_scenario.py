@@ -3,6 +3,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sweepslide.ellipsoid import EllipsoidRadii
@@ -12,7 +13,6 @@ from sweepslide.scenario import (
     Scenario,
     builtin_scenario,
     load_scenario,
-    mesh_array,
     min_distance_to_mesh,
     report,
     run_scenario,
@@ -22,6 +22,7 @@ from sweepslide.scenario import (
 from sweepslide.detect import closest_point_on_triangle
 from sweepslide.core import distance
 from sweepslide.mesh import builtin_mesh
+from sweepslide.world import build_world
 
 
 def _floor_scenario(**overrides):
@@ -81,7 +82,7 @@ def test_penetrating_start_rejected():
 
 def test_min_mesh_distance_matches_scalar_oracle():
     tris = builtin_mesh("random_soup", n=30, seed=4, extent=5.0)
-    arr = mesh_array(tris)
+    arr = build_world(tris).vertices
     import random
 
     rng = random.Random(6)
@@ -223,3 +224,18 @@ def test_builtin_scenarios_all_run():
         assert len(records[sc.algorithm]) == 2
         for r in records[sc.algorithm]:
             assert r.min_mesh_distance >= 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("kind", ["floor", "obtuse_corner", "acute_corner", "crease",
+                                  "box_room", "random_soup"])
+def test_audit_equals_the_full_scan_of_the_mesh(kind):
+    # Unit radii: sphere space is world space, so each record's distance is
+    # the full scan of an array built from the triangles themselves.
+    sc = builtin_scenario(kind, algorithm="both")
+    assert sc.radii.is_unit
+    tris = np.array([[t.a, t.b, t.c] for t in sc.mesh.load()])
+    streams = run_scenario(sc)
+    assert set(streams) == {"improved", "legacy"}
+    for records in streams.values():
+        for r in records:
+            assert r.min_mesh_distance == min_distance_to_mesh(r.position, tris)

@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sweepslide
@@ -17,7 +18,7 @@ from sweepslide.ellipsoid import EllipsoidRadii, EllipsoidWorldView
 from sweepslide.legacy import LegacyConfig, collide_with_world_legacy
 from sweepslide.mesh import builtin_mesh
 from sweepslide.response import ResponseConfig, sphere_sweep
-from sweepslide.scenario import MeshSource, Scenario, mesh_array, min_distance_to_mesh
+from sweepslide.scenario import MeshSource, Scenario, min_distance_to_mesh
 from sweepslide.world import build_world
 
 RESPONSES = [sphere_sweep, collide_with_world_legacy]
@@ -53,7 +54,7 @@ def test_tiny_triangle_seen_through_large_radii():
     res = sphere_sweep(EllipsoidWorldView(build_world([tri]), radii),
                        (0.0, 0.0, 1.5), (0.0, 0.0, -1.0))
     assert all(math.isfinite(c) for c in res.final_pos)
-    sphere_tris = mesh_array([tri]) / 100.0
+    sphere_tris = np.array([tri.vertices()]) / 100.0
     assert min_distance_to_mesh(res.final_pos, sphere_tris) >= 1.0 - 1e-6
 
 
@@ -162,3 +163,49 @@ def test_runs_without_mpmath():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
+
+
+def _run_file(tmp_path, capsys, raw) -> str:
+    """``sweepslide run`` on *raw* written as JSON: asserts exit 2, returns stderr."""
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("coordinate", ["inf", "nan"])
+def test_cli_rejects_a_non_finite_obj_vertex(tmp_path, capsys, coordinate):
+    obj = tmp_path / "bad.obj"
+    obj.write_text(f"v 0 1 0\nv {coordinate} 0 0\nv 1 0 0\nf 1 2 3\n")
+    err = _run_file(tmp_path, capsys, {"mesh": {"path": str(obj)}, "start": [0.0, 0.0, 3.0],
+                                       "velocity": [0.0, 0.0, -1.0]})
+    assert f"{obj}:2: non-finite vertex" in err
+
+
+FLOOR_DROP = {"mesh": {"builtin": "floor"}, "start": [0.0, 0.0, 3.0], "velocity": [0.0, 0.0, -1.0]}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"frames": 2.9}, "frames must be int, got 2.9"),
+    ({"frames": "3"}, "frames must be int, got '3'"),
+    ({"legacy_max_recursion": 5.0}, "legacy_max_recursion must be int, got 5.0"),
+    ({"start": ["1", 0, 3]}, "start must be float and finite, got '1'"),
+    ({"velocity": [0, 0, True]}, "velocity must be float and finite, got True"),
+    ({"algorithm": 1}, "algorithm must be str, got 1"),
+    ({"epsilon": 10 ** 400}, "epsilon must be float and finite, got 1000"),
+    # Python's json writes and reads Infinity.
+    ({"mesh": {"builtin": "floor", "size": math.inf}},
+     "'size' of 'floor' must be float and finite, got inf"),
+    ({"frame": 10}, "unknown scenario keys ['frame']; known: ['algorithm', 'epsilon', "
+                    "'frames', 'legacy_max_recursion', 'mesh', 'name', 'radii', 'seed', "
+                    "'start', 'velocity']"),
+])
+def test_cli_applies_one_type_rule_to_scenario_values(tmp_path, capsys, change, message):
+    assert message in _run_file(tmp_path, capsys, {**FLOOR_DROP, **change})
+
+
+def test_cli_rejects_a_scenario_that_is_not_an_object(tmp_path, capsys):
+    assert "must be a JSON object, got list" in _run_file(tmp_path, capsys, [FLOOR_DROP])
+

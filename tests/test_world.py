@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from sweepslide.core import Triangle
@@ -26,6 +27,19 @@ def test_cell_entry_bound_counts_every_triangle():
     assert 1001 * 1001 <= MAX_CELL_ENTRIES < 4 * 1001 * 1001
     with pytest.raises(ValueError, match="4008004 cell entries"):
         build_world([wide] * 4)
+
+
+@pytest.mark.parametrize("tris", [
+    builtin_mesh("random_soup", n=64, seed=3, extent=9.0),
+    builtin_mesh("box_room"),
+    [],
+], ids=["soup", "box_room", "empty"])
+def test_vertices_are_the_corners_bit_for_bit(tris):
+    vertices = build_world(tris).vertices
+    want = np.array([[t.a, t.b, t.c] for t in tris], dtype=np.float64).reshape(-1, 3, 3)
+    assert vertices.shape == (len(tris), 3, 3) and vertices.dtype == np.float64
+    assert vertices.flags.c_contiguous and not vertices.flags.writeable
+    assert vertices.tobytes() == want.tobytes()
 
 
 def test_empty_world_returns_nothing():
