@@ -2,9 +2,10 @@
 
 The per-triangle test decomposes the sweep into three sub-tests -- the
 triangle's face plane, its three vertices, and its three edges -- and takes
-the global minimum contact time.  Each sub-test enumerates every instant at
-which its feature is exactly one unit from the sphere center, so the
-minimum over all candidates is the true first contact.
+the global minimum contact time.  Each sub-test takes the one instant at
+which its feature's distance from the sphere center falls to one unit (the
+entering crossing; the exiting one never comes first), so the minimum over
+all candidates is the true first contact.
 
 The per-triangle functions unpack their tuples into float locals and write
 every difference and dot product inline, in the operation order of
@@ -151,23 +152,28 @@ def sweep_unit_sphere_triangle(source: Vec3, vel: Vec3, tri: Triangle) -> SweepH
     # Every accepted t lies in [0, 1], so any t beats this.
     best_t = 2.0
     best_point = None
+    # A start that the early-out above sees as clear can still round to just
+    # inside one feature's shell, which puts that feature's entering root
+    # slightly below 0.  Motion that closes in on the feature then touches
+    # at t = 0; rejecting the root would let the sphere pass through.
 
     # Face: the center's plane distance is linear in t, so contact with the
-    # face interior can only happen where |distance| == 1.  Both crossings
-    # are tested; the containment check rejects the geometrically impossible
-    # one, and edges/vertices cover everything outside the face.
+    # face interior can only happen where it reaches the level on the side
+    # the center comes from; edges/vertices cover everything outside the face.
     nx, ny, nz = tri.normal
     nv = nx * vx + ny * vy + nz * vz
     if nv != 0.0:
         d0 = nx * mxa + ny * mya + nz * mza
-        for level in (1.0, -1.0):
-            t = (level - d0) / nv
-            if 0.0 <= t <= 1.0:
-                p = (sx + vx * t - nx * level, sy + vy * t - ny * level,
-                     sz + vz * t - nz * level)
-                if t < best_t and point_in_triangle(p, tri):
-                    best_t = t
-                    best_point = p
+        level = 1.0 if nv < 0.0 else -1.0
+        t = (level - d0) / nv
+        if t < 0.0 and level * d0 > 0.0:
+            t = 0.0  # inside the slab on the side it comes from
+        if 0.0 <= t <= 1.0:
+            p = (sx + vx * t - nx * level, sy + vy * t - ny * level,
+                 sz + vz * t - nz * level)
+            if point_in_triangle(p, tri):
+                best_t = t
+                best_point = p
     # nv == 0 while overlapping the plane slab: moving parallel, the face
     # can never be newly touched; only vertices and edges apply.
 
@@ -184,17 +190,16 @@ def sweep_unit_sphere_triangle(source: Vec3, vel: Vec3, tri: Triangle) -> SweepH
         # The discriminant as robust_quadratic_roots forms it: a miss skips the call.
         if qb * qb - 4.0 * vel_sq * mm < 0.0:
             continue
-        for t in robust_quadratic_roots(vel_sq, qb, mm):
-            if 0.0 <= t <= 1.0:
-                if t < best_t:
-                    best_t = t
-                    best_point = v
-                break
+        t = robust_quadratic_roots(vel_sq, qb, mm)[0]
+        if t < 0.0 and mm < 0.0 and qb < 0.0:
+            t = 0.0
+        if 0.0 <= t <= 1.0 and t < best_t:
+            best_t = t
+            best_point = v
 
     # Edges: distance one from the infinite edge line, with the closest
-    # point inside the segment.  Both roots are checked because the first
-    # tangency to the line can fall outside the segment while the second
-    # falls inside it.
+    # point inside the segment.  Where the line's shell is entered outside
+    # the segment, an end vertex is touched before the segment can be.
     for px, py, pz, ex, ey, ez, mx, my, mz, mv, mm in (
             (ax, ay, az, bx - ax, by - ay, bz - az, mxa, mya, mza, mva, mma),
             (bx, by, bz, cx - bx, cy - by, cz - bz, mxb, myb, mzb, mvb, mmb),
@@ -209,14 +214,14 @@ def sweep_unit_sphere_triangle(source: Vec3, vel: Vec3, tri: Triangle) -> SweepH
         qc = ee * mm - em * em
         if qb * qb - 4.0 * qa * qc < 0.0:
             continue
-        for t in robust_quadratic_roots(qa, qb, qc):
-            if 0.0 <= t <= 1.0:
-                f = (em + ev * t) / ee
-                if 0.0 <= f <= 1.0:
-                    if t < best_t:
-                        best_t = t
-                        best_point = (px + ex * f, py + ey * f, pz + ez * f)
-                    break
+        t = robust_quadratic_roots(qa, qb, qc)[0]
+        if t < 0.0 and qc < 0.0 and qb < 0.0:
+            t = 0.0
+        if 0.0 <= t <= 1.0 and t < best_t:
+            f = (em + ev * t) / ee
+            if 0.0 <= f <= 1.0:
+                best_t = t
+                best_point = (px + ex * f, py + ey * f, pz + ez * f)
 
     if best_point is None:
         return None

@@ -140,6 +140,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if not isinstance(mesh_raw, dict):
         raise ValueError("scenario 'mesh' must be an object with 'path' or 'builtin'")
     if "path" in mesh_raw:
+        extra = set(mesh_raw) - {"path"}
+        if extra:
+            raise ValueError(f"a mesh with 'path' takes no other key, got {sorted(extra)}")
         mesh = MeshSource(path=as_type(mesh_raw["path"], str, "mesh 'path'"))
     else:
         params = {k: v for k, v in mesh_raw.items() if k != "builtin"}
@@ -157,7 +160,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         given["radii"] = EllipsoidRadii(*_vec(raw["radii"], "radii"))
 
     return Scenario(
-        name=str(raw.get("name", "scenario")),
+        name=as_type(raw.get("name", "scenario"), str, "name"),
         mesh=mesh,
         start=_vec(raw.get("start"), "start"),
         velocity=velocity,

@@ -284,26 +284,29 @@ def _ref_sweep(source, vel, tri):
     nv = dot(n, vel)
     if nv != 0.0:
         d0 = dot(n, sub(source, tri.a))
-        for level in (1.0, -1.0):
-            t = (level - d0) / nv
-            if 0.0 <= t <= 1.0:
-                center = add(source, scale(vel, t))
-                p = sub(center, scale(n, level))
-                if _ref_point_in_triangle(p, tri):
-                    if best_t is None or t < best_t:
-                        best_t = t
-                        best_point = p
+        level = 1.0 if nv < 0.0 else -1.0
+        t = (level - d0) / nv
+        if t < 0.0 and level * d0 > 0.0:
+            t = 0.0
+        if 0.0 <= t <= 1.0:
+            center = add(source, scale(vel, t))
+            p = sub(center, scale(n, level))
+            if _ref_point_in_triangle(p, tri):
+                best_t = t
+                best_point = p
     for v in (tri.a, tri.b, tri.c):
         m = sub(source, v)
-        roots = robust_quadratic_roots(vel_sq, 2.0 * dot(vel, m), dot(m, m) - 1.0)
+        qb = 2.0 * dot(vel, m)
+        qc = dot(m, m) - 1.0
+        roots = robust_quadratic_roots(vel_sq, qb, qc)
         if roots is None:
             continue
-        for t in roots:
-            if 0.0 <= t <= 1.0:
-                if best_t is None or t < best_t:
-                    best_t = t
-                    best_point = v
-                break
+        t = roots[0]
+        if t < 0.0 and qc < 0.0 and qb < 0.0:
+            t = 0.0
+        if 0.0 <= t <= 1.0 and (best_t is None or t < best_t):
+            best_t = t
+            best_point = v
     for p1, p2 in ((tri.a, tri.b), (tri.b, tri.c), (tri.c, tri.a)):
         e = sub(p2, p1)
         m = sub(source, p1)
@@ -318,14 +321,14 @@ def _ref_sweep(source, vel, tri):
         roots = robust_quadratic_roots(qa, qb, qc)
         if roots is None:
             continue
-        for t in roots:
-            if 0.0 <= t <= 1.0:
-                f = (em + ev * t) / ee
-                if 0.0 <= f <= 1.0:
-                    if best_t is None or t < best_t:
-                        best_t = t
-                        best_point = add(p1, scale(e, f))
-                    break
+        t = roots[0]
+        if t < 0.0 and qc < 0.0 and qb < 0.0:
+            t = 0.0
+        if 0.0 <= t <= 1.0:
+            f = (em + ev * t) / ee
+            if 0.0 <= f <= 1.0 and (best_t is None or t < best_t):
+                best_t = t
+                best_point = add(p1, scale(e, f))
     if best_t is None:
         return None
     return SweepHit(best_t, best_point)

@@ -201,6 +201,12 @@ FLOOR_DROP = {"mesh": {"builtin": "floor"}, "start": [0.0, 0.0, 3.0], "velocity"
     ({"frame": 10}, "unknown scenario keys ['frame']; known: ['algorithm', 'epsilon', "
                     "'frames', 'legacy_max_recursion', 'mesh', 'name', 'radii', 'seed', "
                     "'start', 'velocity']"),
+    ({"name": None}, "name must be str, got None"),
+    ({"name": 7}, "name must be str, got 7"),
+    ({"mesh": {"path": "t.obj", "builtin": "floor", "size": 3}},
+     "a mesh with 'path' takes no other key, got ['builtin', 'size']"),
+    ({"mesh": {"path": "t.obj", "extent": 3}},
+     "a mesh with 'path' takes no other key, got ['extent']"),
 ])
 def test_cli_applies_one_type_rule_to_scenario_values(tmp_path, capsys, change, message):
     assert message in _run_file(tmp_path, capsys, {**FLOOR_DROP, **change})
