@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import Triangle, Vec3, as_type, check_stand_off, distance, dot
+from .core import DEGENERATE_LENGTH, Triangle, Vec3, as_type, check_stand_off, distance, dot
 from .ellipsoid import EllipsoidRadii, EllipsoidWorldView, from_sphere_space, to_sphere_space
 from .legacy import LegacyConfig, collide_with_world_legacy
 from .mesh import builtin_mesh, load_obj_mesh
@@ -354,6 +354,25 @@ def _sphere_space_program(scenario: Scenario) -> tuple[Vec3, list[Vec3]]:
     return scaled[0], scaled[1:]
 
 
+def _flattened(tris: np.ndarray) -> np.ndarray:
+    """Indices of the rows of *tris*, an ``(n, 3, 3)`` block, that :class:`Triangle` rejects.
+
+    Its own test, elementwise and in its operation order, so a row is
+    flagged exactly when ``Triangle(a, b, c)`` of its corners would raise.
+    """
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = tris[:, 0].T, tris[:, 1].T, tris[:, 2].T
+    abx, aby, abz = bx - ax, by - ay, bz - az
+    acx, acy, acz = cx - ax, cy - ay, cz - az
+    with np.errstate(all="ignore"):  # Python floats overflow to inf quietly too
+        nx = aby * acz - abz * acy
+        ny = abz * acx - abx * acz
+        nz = abx * acy - aby * acx
+        nn = nx * nx + ny * ny + nz * nz
+        return np.flatnonzero(~(nn > (DEGENERATE_LENGTH * DEGENERATE_LENGTH
+                                      * (abx * abx + aby * aby + abz * abz)
+                                      * (acx * acx + acy * acy + acz * acz))))
+
+
 def run_scenario(scenario: Scenario) -> dict[str, list[TrajectoryRecord]]:
     """Run *scenario* and return one record stream per algorithm.
 
@@ -361,8 +380,9 @@ def run_scenario(scenario: Scenario) -> dict[str, list[TrajectoryRecord]]:
     both entries for ``algorithm = "both"``; both streams see identical
     inputs.  Each stream's end positions are audited together, after its
     frames, by :func:`mesh_distances`.  Raises ``ValueError`` when the
-    start position penetrates the mesh, or when the start, a velocity or
-    the mesh is out of range in sphere space.
+    start position penetrates the mesh, when the start, a velocity or the
+    mesh is out of range in sphere space, or when the radii flatten a
+    triangle there, before any frame runs.
     """
     world = build_world(scenario.mesh.load())
     radii = scenario.radii
@@ -378,6 +398,13 @@ def run_scenario(scenario: Scenario) -> dict[str, list[TrajectoryRecord]]:
             f"scenario {scenario.name!r}: the mesh overflows once divided by radii "
             f"{radii.as_tuple()!r}"
         ) from None
+    flattened = _flattened(sphere_tris)
+    if flattened.size:
+        raise ValueError(
+            f"scenario {scenario.name!r}: radii {radii.as_tuple()!r} flatten {flattened.size} "
+            f"triangle(s) in sphere space (collinear or non-finite), the first at index "
+            f"{flattened[0]}"
+        )
     if start_dist < 1.0 - 1e-6:
         raise ValueError(
             f"scenario {scenario.name!r}: start position penetrates the mesh "

@@ -3,7 +3,9 @@
 Each triangle is registered in every grid cell its bounding box overlaps,
 so a box query over the touched cells can never miss an overlapping
 triangle.  The hash is sparse (a dict keyed by integer cell coordinates)
-because worlds may be spatially large and mostly empty.
+because worlds may be spatially large and mostly empty.  Each world sizes
+its own cells: ``CELL_SIZE``, doubled while its triangles would cover more
+than ``MAX_CELLS_PER_TRIANGLE`` cells each on average.
 
 The world also keeps every triangle's box and plane as float64 arrays, so
 the grid's answer to a sweep can be cut down with two vectorised filters
@@ -24,12 +26,24 @@ from .core import Triangle, Vec3
 __all__ = ["World", "build_world"]
 
 # A few sphere radii per cell keeps candidate lists short for game-like
-# meshes without exploding the number of cells a large triangle spans.
+# meshes.  It is the smallest cell a world gets.
 CELL_SIZE = 4.0
 
+# A world's cells double from CELL_SIZE while its triangles would cover
+# more than this many cells each on average, so a mesh of a few large
+# triangles fills a few cells, not thousands.  At 8, a 3,000-triangle soup
+# with 16.8 cells per triangle moved to 8.0 cells and its sweeps ran 6 to
+# 8 % slower; at 32 it keeps 4.0.
+MAX_CELLS_PER_TRIANGLE = 32
+
 # The most grid entries (one per triangle per cell its box covers) a world
-# may hold.  The largest builtin or benchmark world holds about 124,000;
-# far past that, building would take minutes and gigabytes.
+# may hold, counted at CELL_SIZE.  Larger cells index any mesh in a few
+# entries, so the bound is not about the grid: it refuses triangles too
+# large for the narrowphase, whose edge test cancels in ``ee*mm - em*em``.  With
+# it lifted, a floor of size 1e8 stopped the sphere at z = 1.144, floors of
+# 1e9 and 1e10 never let it leave z = 2, and a two-triangle strip with a
+# 2.4e7-long shared edge froze 3 of 50 walkers.  Floors up to 1e7 and
+# edges 8e6 long were fine.
 MAX_CELL_ENTRIES = 4_000_000
 
 # Padding, beyond the unit radius, of a sweep's box and of the plane slab
@@ -45,8 +59,8 @@ SLAB_MARGIN = 1.0 + SWEEP_BOX_SLACK
 Bounds = tuple[Vec3, Vec3]
 
 
-def _cell_range(bounds: Bounds) -> tuple[range, range, range]:
-    """The grid cells a query box touches.
+def _cell_range(bounds: Bounds, size: float) -> tuple[range, range, range]:
+    """The grid cells of edge *size* a query box touches.
 
     ``build_world`` maps triangle boxes with :func:`_cell_coords`, the same
     division and floor: the grid is sound only because the two agree.
@@ -55,24 +69,33 @@ def _cell_range(bounds: Bounds) -> tuple[range, range, range]:
     # floor, not int(): truncation toward zero is wrong for negative
     # coordinates and would silently drop cells on that side.
     return (
-        range(math.floor(lo[0] / CELL_SIZE), math.floor(hi[0] / CELL_SIZE) + 1),
-        range(math.floor(lo[1] / CELL_SIZE), math.floor(hi[1] / CELL_SIZE) + 1),
-        range(math.floor(lo[2] / CELL_SIZE), math.floor(hi[2] / CELL_SIZE) + 1),
+        range(math.floor(lo[0] / size), math.floor(hi[0] / size) + 1),
+        range(math.floor(lo[1] / size), math.floor(hi[1] / size) + 1),
+        range(math.floor(lo[2] / size), math.floor(hi[2] / size) + 1),
     )
 
 
-def _cell_coords(coords: np.ndarray) -> list[list[int]]:
-    """``math.floor(x / CELL_SIZE)`` for every entry, as Python ints, column by column.
+def _cell_coords(coords: np.ndarray, size: float) -> list[list[int]]:
+    """``math.floor(x / size)`` for every entry, as Python ints, column by column.
 
     Three long lists rather than one short list per row: each list is an
     object the garbage collector tracks.
     """
-    cells = np.floor(coords.T / CELL_SIZE)
+    cells = np.floor(coords.T / size)
     if not (np.abs(cells).max(initial=0.0) < 2.0 ** 62):
         # Beyond int64 (or not finite): convert one by one, exactly as
         # math.floor would, errors included.
         return [[int(v) for v in column] for column in cells.tolist()]
     return cells.astype(np.int64).tolist()
+
+
+def _cell_entries(lo: np.ndarray, hi: np.ndarray, size: float) -> float:
+    """How many grid entries boxes ``lo``-``hi`` fill at cell *size*.
+
+    In float64, with the same division and floor as :func:`_cell_coords`:
+    exact up to 2**53 entries, far past any bound it is held against.
+    """
+    return float((np.floor(hi / size) - np.floor(lo / size) + 1.0).prod(axis=1).sum())
 
 
 def _overlap_column(bounds: Bounds) -> np.ndarray:
@@ -91,16 +114,22 @@ class World:
     Row ``i`` of ``vertices`` is triangle ``i``'s ``(a, b, c)``.
     """
 
-    __slots__ = ("triangles", "vertices", "_cells", "_boxes", "_planes")
+    __slots__ = ("triangles", "vertices", "_cell_size", "_cells", "_boxes", "_planes")
 
-    def __init__(self, triangles: tuple[Triangle, ...], vertices: np.ndarray,
+    def __init__(self, triangles: tuple[Triangle, ...], vertices: np.ndarray, cell_size: float,
                  cells: dict[tuple[int, int, int], list[int]],
                  boxes: np.ndarray, planes: np.ndarray):
         self.triangles = triangles
         self.vertices = vertices
+        self._cell_size = cell_size
         self._cells = cells
         self._boxes = boxes
         self._planes = planes
+
+    @property
+    def cell_size(self) -> float:
+        """The edge of this world's grid cells, derived from its mesh."""
+        return self._cell_size
 
     def query_candidates(self, bounds: Bounds) -> list[int]:
         """Indices of every triangle that might overlap *bounds*.
@@ -108,7 +137,7 @@ class World:
         Guaranteed a superset of the exact AABB-overlap set; deduplicated
         and ascending.
         """
-        rx, ry, rz = _cell_range(bounds)
+        rx, ry, rz = _cell_range(bounds, self._cell_size)
         # Python ints, not len(range): a long finite box has more cells
         # than len() can return.
         box_cells = (rx.stop - rx.start) * (ry.stop - ry.start) * (rz.stop - rz.start)
@@ -176,10 +205,13 @@ class World:
 
 
 def build_world(triangles: Sequence[Triangle]) -> World:
-    """Index *triangles* into a uniform grid of ``CELL_SIZE`` cells.
+    """Index *triangles* into a uniform grid sized for them.
 
-    Deterministic for identical input order; rejects grids of more than
-    ``MAX_CELL_ENTRIES`` entries before building any of them.
+    The cells start at ``CELL_SIZE`` and double while the triangles would
+    cover more than ``MAX_CELLS_PER_TRIANGLE`` cells each on average.
+    Deterministic for identical input order; rejects meshes that would fill
+    more than ``MAX_CELL_ENTRIES`` entries at ``CELL_SIZE`` before building
+    anything.
     """
     tris = tuple(triangles)
     count = len(tris)
@@ -192,21 +224,26 @@ def build_world(triangles: Sequence[Triangle]) -> World:
     hi = vertices.max(axis=1)
     normal, a = flat[:, 3], flat[:, 0]
     offset = normal[:, 0] * a[:, 0] + normal[:, 1] * a[:, 1] + normal[:, 2] * a[:, 2]
-    lo_cells = _cell_coords(lo)
-    hi_cells = _cell_coords(hi)
-    entries = sum((x1 - x0 + 1) * (y1 - y0 + 1) * (z1 - z0 + 1)
-                  for x0, y0, z0, x1, y1, z1 in zip(*lo_cells, *hi_cells))
+    size = CELL_SIZE
+    entries = _cell_entries(lo, hi, size)
     if entries > MAX_CELL_ENTRIES:
+        # The exact count, in Python ints, for the message.
+        entries = sum((x1 - x0 + 1) * (y1 - y0 + 1) * (z1 - z0 + 1) for x0, y0, z0, x1, y1, z1
+                      in zip(*_cell_coords(lo, size), *_cell_coords(hi, size)))
         raise ValueError(
             f"the grid would hold {entries} cell entries, more than {MAX_CELL_ENTRIES}, "
             f"at cell size {CELL_SIZE!r}: the triangles are too large for the cells"
         )
+    while entries > MAX_CELLS_PER_TRIANGLE * count:
+        size *= 2.0
+        entries = _cell_entries(lo, hi, size)
     cells: dict[tuple[int, int, int], list[int]] = {}
-    for index, x0, y0, z0, x1, y1, z1 in zip(range(count), *lo_cells, *hi_cells):
+    for index, x0, y0, z0, x1, y1, z1 in zip(range(count), *_cell_coords(lo, size),
+                                             *_cell_coords(hi, size)):
         for ix in range(x0, x1 + 1):
             for iy in range(y0, y1 + 1):
                 for iz in range(z0, z1 + 1):
                     cells.setdefault((ix, iy, iz), []).append(index)
     # Appending in index order already leaves each bucket sorted ascending.
-    return World(tris, vertices, cells, np.hstack((lo, -hi)).T.copy(),
+    return World(tris, vertices, size, cells, np.hstack((lo, -hi)).T.copy(),
                  np.column_stack((normal, -offset)).T.copy())

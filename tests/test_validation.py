@@ -10,15 +10,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sweepslide
+from sweepslide import scenario as scenario_module
 from sweepslide.cli import main
-from sweepslide.core import Triangle
-from sweepslide.ellipsoid import EllipsoidRadii, EllipsoidWorldView
+from sweepslide.core import DegenerateTriangleError, Triangle
+from sweepslide.ellipsoid import EllipsoidRadii, EllipsoidWorldView, triangle_to_sphere_space
 from sweepslide.legacy import LegacyConfig, collide_with_world_legacy
 from sweepslide.mesh import builtin_mesh
 from sweepslide.response import ResponseConfig, sphere_sweep
-from sweepslide.scenario import MeshSource, Scenario, min_distance_to_mesh
+from sweepslide.scenario import MeshSource, Scenario, min_distance_to_mesh, run_scenario
 from sweepslide.world import build_world
 
 RESPONSES = [sphere_sweep, collide_with_world_legacy]
@@ -215,3 +218,61 @@ def test_cli_applies_one_type_rule_to_scenario_values(tmp_path, capsys, change, 
 def test_cli_rejects_a_scenario_that_is_not_an_object(tmp_path, capsys):
     assert "must be a JSON object, got list" in _run_file(tmp_path, capsys, [FLOOR_DROP])
 
+
+# --- radii that flatten a triangle in sphere space ---
+
+def _flat_triangle_scenario(tmp_path):
+    # (2, 1, 0) divided by a y radius of 1e13 is (2, 1e-13, 0): the sphere
+    # space triangle is collinear.
+    obj = tmp_path / "tri.obj"
+    obj.write_text("v 0 0 0\nv 1 0 0\nv 2 1 0\nf 1 2 3\n")
+    return {"mesh": {"path": str(obj)}, "start": [1.0, 0.0, 1.8],
+            "velocity": [0.0, 0.0, -1.0], "radii": [1.0, 1e13, 1.0], "frames": 2}
+
+
+def test_cli_rejects_radii_that_flatten_a_triangle(tmp_path, capsys):
+    err = _run_file(tmp_path, capsys, _flat_triangle_scenario(tmp_path))
+    assert "radii (1.0, 10000000000000.0, 1.0) flatten 1 triangle(s)" in err
+    assert "the first at index 0" in err
+
+
+def test_flattening_radii_fail_before_the_first_frame(tmp_path, monkeypatch):
+    def no_frame(*args):
+        raise AssertionError("a frame ran")
+
+    monkeypatch.setattr(scenario_module, "sphere_sweep", no_frame)
+    monkeypatch.setattr(scenario_module, "collide_with_world_legacy", no_frame)
+    raw = _flat_triangle_scenario(tmp_path)
+    sc = Scenario(name="flat", mesh=MeshSource(path=raw["mesh"]["path"]), start=tuple(raw["start"]),
+                  velocity=tuple(raw["velocity"]), radii=EllipsoidRadii(*raw["radii"]),
+                  frames=2, algorithm="both")
+    with pytest.raises(ValueError, match="the first at index 0") as err:
+        run_scenario(sc)
+    assert not isinstance(err.value, DegenerateTriangleError)
+
+
+@given(st.sampled_from(["floor", "box_room", "crease", "acute_corner", "obtuse_corner"]),
+       st.integers(0, 2), st.floats(10.0, 14.0))
+@settings(max_examples=150, deadline=None)
+def test_run_rejects_exactly_the_radii_the_view_cannot_scale(kind, axis, exponent):
+    # Squashing one axis by 1e10 .. 1e14 crosses Triangle's threshold for
+    # some triangles of each mesh and not for others.
+    scale = [1.0, 1.0, 1.0]
+    scale[axis] = 10.0 ** exponent
+    radii = EllipsoidRadii(*scale)
+    mesh = MeshSource(builtin=kind)
+    flattened = []
+    for index, tri in enumerate(mesh.load()):
+        try:
+            triangle_to_sphere_space(tri, radii)
+        except DegenerateTriangleError:
+            flattened.append(index)
+    # Far outside every mesh in sphere space, standing still.
+    sc = Scenario(name=kind, mesh=mesh, start=tuple(1e3 * r for r in scale),
+                  velocity=(0.0, 0.0, 0.0), radii=radii, frames=1, algorithm="improved")
+    if flattened:
+        with pytest.raises(ValueError, match=f"flatten {len(flattened)} triangle\\(s\\) "
+                                             f".*the first at index {flattened[0]}$"):
+            run_scenario(sc)
+    else:
+        assert len(run_scenario(sc)["improved"]) == 1

@@ -3,10 +3,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sweepslide.core import Triangle
 from sweepslide.mesh import builtin_mesh
-from sweepslide.world import CELL_SIZE, MAX_CELL_ENTRIES, SWEEP_BOX_SLACK, build_world
+from sweepslide.scenario import builtin_scenario
+from sweepslide.world import (
+    CELL_SIZE,
+    MAX_CELL_ENTRIES,
+    MAX_CELLS_PER_TRIANGLE,
+    SLAB_MARGIN,
+    SWEEP_BOX_SLACK,
+    build_world,
+)
 
 
 def test_rejects_a_grid_too_large_to_build():
@@ -106,7 +116,7 @@ def test_huge_box_query_is_the_exact_scan():
         lo = [rng.uniform(-20, 20) for _ in range(3)]
         boxes.append((tuple(lo), tuple(v + rng.uniform(45, 80) for v in lo)))
     for lo, hi in boxes:
-        cells = math.prod(math.floor(h / CELL_SIZE) - math.floor(v / CELL_SIZE) + 1
+        cells = math.prod(math.floor(h / world.cell_size) - math.floor(v / world.cell_size) + 1
                           for v, h in zip(lo, hi))
         assert cells > occupied
         assert world.query_candidates((lo, hi)) == world.brute_force_indices((lo, hi))
@@ -147,8 +157,119 @@ def test_box_tests_are_inclusive():
 
 def test_cells_beyond_int64_are_exact():
     # Cell coordinates past 2**63 are still exact Python ints, as in queries.
+    # The far triangle spans one cell along x, so the cells stay at 4.0 and
+    # its x cell is 2.5e19.
     far = 1e20
-    tri = Triangle((far, 0.0, 0.0), (far * (1 + 1e-15), 0.0, 0.0), (far, 1.0, 0.0))
+    tri = Triangle((far, 0.0, 0.0), (far, 1.0, 0.0), (far, 0.0, 1.0))
     world = build_world([tri, Triangle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))])
+    assert world.cell_size == CELL_SIZE and far / CELL_SIZE > 2.0 ** 63
     assert world.query_candidates(((far - 1.0, -1.0, -1.0), (far + 1.0, 2.0, 1.0))) == [0]
     assert world.query_candidates(((-1.0, -1.0, -1.0), (2.0, 2.0, 1.0))) == [1]
+
+
+# --- the cell size each world derives from its mesh ---
+
+def _fixed_grid(tris, size=CELL_SIZE):
+    """The grid of *size* cells, built one triangle and one cell at a time."""
+    cells = {}
+    for index, tri in enumerate(tris):
+        corners = list(zip(tri.a, tri.b, tri.c))
+        lo = [math.floor(min(c) / size) for c in corners]
+        hi = [math.floor(max(c) / size) for c in corners]
+        for ix in range(lo[0], hi[0] + 1):
+            for iy in range(lo[1], hi[1] + 1):
+                for iz in range(lo[2], hi[2] + 1):
+                    cells.setdefault((ix, iy, iz), []).append(index)
+    return cells
+
+
+def _heightfield(grid, seed):
+    rng = random.Random(seed)
+    h = [[rng.uniform(-1.5, 1.5) for _ in range(grid + 1)] for _ in range(grid + 1)]
+    tris = []
+    for i in range(grid):
+        for j in range(grid):
+            a, b = (float(i), float(j), h[i][j]), (i + 1.0, float(j), h[i + 1][j])
+            c, d = (i + 1.0, j + 1.0, h[i + 1][j + 1]), (float(i), j + 1.0, h[i][j + 1])
+            tris += [Triangle(a, b, c), Triangle(a, c, d)]
+    return tris
+
+
+@pytest.mark.parametrize("tris", [
+    builtin_mesh("random_soup", n=40, seed=5, extent=8.0),
+    builtin_mesh("random_soup", n=3000, seed=7, extent=30.0),
+    _heightfield(12, seed=3),
+], ids=["soup_40", "soup_3000", "heightfield"])
+def test_bench_shaped_meshes_keep_the_fixed_grid(tris):
+    world = build_world(tris)
+    assert world.cell_size == CELL_SIZE
+    assert world._cells == _fixed_grid(tris)
+
+
+@pytest.mark.parametrize("kind, size", [
+    ("floor", 64.0), ("obtuse_corner", 64.0), ("acute_corner", 32.0), ("crease", 64.0),
+    ("box_room", 8.0),
+])
+def test_large_triangles_get_larger_cells(kind, size):
+    tris = builtin_scenario(kind).mesh.load()
+    world = build_world(tris)
+    assert world.cell_size == size
+    assert world._cells == _fixed_grid(tris, size)
+    entries = sum(len(bucket) for bucket in world._cells.values())
+    assert entries <= MAX_CELLS_PER_TRIANGLE * len(tris)
+    # One doubling fewer would be over the average.
+    assert sum(map(len, _fixed_grid(tris, size / 2).values())) > MAX_CELLS_PER_TRIANGLE * len(tris)
+
+
+def test_a_long_strip_fills_a_few_cells():
+    # Edges 3e6 long: 1,500,002 entries at 4.0, a few dozen once sized.
+    a, b, c, d = (0.0, 0.0, 0.0), (3e6, 0.0, 0.0), (3e6, 1.0, 0.0), (0.0, 1.0, 0.0)
+    world = build_world([Triangle(a, b, c), Triangle(a, c, d)])
+    assert sum(len(bucket) for bucket in world._cells.values()) <= 2 * MAX_CELLS_PER_TRIANGLE
+    assert world.sweep_indices((2e6, 0.5, 1.5), (2e6, 0.5, 0.5)) == [0, 1]
+    assert world.sweep_indices((2e6, 0.5, 3.0), (2e6 + 1.0, 0.5, 3.0)) == []
+
+
+def _exact_scan(world, start, end):
+    """``sweep_indices``' two filters applied to every triangle, with no grid."""
+    pad = 1.0 + SWEEP_BOX_SLACK
+    lo = tuple(min(s, e) - pad for s, e in zip(start, end))
+    hi = tuple(max(s, e) + pad for s, e in zip(start, end))
+    dist = np.dot(((*start, 1.0), (*end, 1.0)), world._planes)
+    slab = (np.minimum(dist[0], dist[1]) <= SLAB_MARGIN) & (np.maximum(dist[0], dist[1]) >= -SLAB_MARGIN)
+    return [i for i in world.brute_force_indices((lo, hi)) if slab[i]]
+
+
+@st.composite
+def _grown_worlds(draw):
+    """A few triangles hundreds of units across among many small ones."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    tris = []
+    for _ in range(draw(st.integers(1, 3))):
+        # At least 25 x 50 x 10 cells of 4.0 each: the cells always grow.
+        span = rng.uniform(200.0, 400.0)
+        corner = [rng.uniform(-50.0, 50.0) for _ in range(3)]
+        tris.append(Triangle(tuple(corner),
+                             tuple(v + rng.uniform(0.5, 1.0) * span for v in corner),
+                             (corner[0], corner[1] + span, corner[2] - rng.uniform(0.2, 1.0) * span)))
+    tris += builtin_mesh("random_soup", n=draw(st.integers(0, 80)), seed=rng.randrange(1000),
+                         extent=rng.uniform(5.0, 60.0))
+    rng.shuffle(tris)
+    return tris
+
+
+@given(_grown_worlds(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_grown_cells_answer_every_query(tris, data):
+    world = build_world(tris)
+    assert world.cell_size > CELL_SIZE
+    for _ in range(10):
+        tri = tris[data.draw(st.integers(0, len(tris) - 1))]
+        near = st.floats(-6.0, 6.0, allow_nan=False)
+        start = tuple(v + data.draw(near) for v in tri.a)
+        end = tuple(v + data.draw(near) for v in start)
+        half = [data.draw(st.floats(0.0, 8.0, allow_nan=False)) for _ in range(3)]
+        box = (tuple(v - h for v, h in zip(start, half)), tuple(v + h for v, h in zip(start, half)))
+        got = world.query_candidates(box)
+        assert set(world.brute_force_indices(box)) <= set(got)
+        assert world.sweep_indices(start, end) == _exact_scan(world, start, end)
