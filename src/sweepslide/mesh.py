@@ -1,9 +1,10 @@
 """Triangle sources: a minimal Wavefront OBJ reader and built-in meshes.
 
 The OBJ subset is deliberately small: ``v x y z`` vertices and ``f i j k...``
-faces (1-based; negative indices count from the end; polygons are fanned
-from the first vertex).  Face entries may carry ``/texture/normal`` suffixes,
-which are ignored.  Every other record type is skipped.  Collinear faces are
+faces (1-based; negative indices count back from the last vertex read so
+far; polygons are fanned from the first vertex).  Face entries may carry
+``/texture/normal`` suffixes, which are ignored.  Every other record type
+is skipped, and so is a UTF-8 byte-order mark.  Collinear faces are
 dropped instead of failing the whole load; a non-finite vertex coordinate
 is an error.
 """
@@ -42,12 +43,13 @@ def load_obj_mesh(path: str) -> list[Triangle]:
     vertices: list[Vec3] = []
     triangles: list[Triangle] = []
 
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig: a byte-order mark would otherwise glue itself to the first record type.
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
-            if not tokens or tokens[0].startswith("#"):
+            if not tokens:
                 continue
-            kind = tokens[0]
+            kind = tokens[0]  # a comment's first token is never "v" or "f"
             if kind == "v":
                 if len(tokens) < 4:
                     raise MeshParseError(f"{path}:{lineno}: vertex needs 3 coordinates")
@@ -62,17 +64,24 @@ def load_obj_mesh(path: str) -> list[Triangle]:
                 if len(tokens) < 4:
                     raise MeshParseError(f"{path}:{lineno}: face needs at least 3 vertices")
                 try:
-                    raw = [int(tok.split("/")[0]) for tok in tokens[1:]]
+                    if "/" in line:
+                        raw = [int(tok.split("/")[0]) for tok in tokens[1:]]
+                    else:
+                        raw = list(map(int, tokens[1:]))
                 except ValueError as exc:
                     raise MeshParseError(f"{path}:{lineno}: bad face index: {exc}") from exc
-                idx = [_resolve_index(r, len(vertices), path, lineno) for r in raw]
+                count = len(vertices)
+                if 0 in raw or min(raw) < -count or max(raw) > count:
+                    for r in raw:  # raises on the first bad index
+                        _resolve_index(r, count, path, lineno)
+                idx = [r - 1 if r > 0 else count + r for r in raw]
+                first = vertices[idx[0]]
                 for k in range(1, len(idx) - 1):  # fan from the first vertex
                     try:
-                        triangles.append(Triangle(vertices[idx[0]], vertices[idx[k]],
-                                                  vertices[idx[k + 1]]))
+                        triangles.append(Triangle(first, vertices[idx[k]], vertices[idx[k + 1]]))
                     except DegenerateTriangleError:
                         pass
-            # all other record types (vn, vt, g, o, s, usemtl, mtllib, ...) ignored
+            # all other record types (vn, vt, g, o, s, usemtl, mtllib, #, ...) ignored
 
     return triangles
 

@@ -5,10 +5,11 @@ mesh: positions and velocities are scaled into unit-sphere space, the
 response runs there, and the resulting center is scaled back for
 reporting.  Every frame also logs its exact center-to-mesh distance, so
 the broadphase path is audited by something that never uses it.  The
-audit runs once per stream, on all of its end positions together
-(:func:`mesh_distances`): bounding spheres prune the triangles that cannot
-be nearest, and the same Voronoi evaluation as
-:func:`min_distance_to_mesh` runs on the rest, so each distance is the
+audit runs once per scenario, after every stream's frames, on all of
+their end positions together (:func:`mesh_distances`): bounding spheres
+prune the triangles that cannot be nearest, and the same Voronoi
+evaluation as :func:`min_distance_to_mesh` runs on the surviving
+point-triangle pairs, batched across points, so each distance is the
 full scan's, bit for bit.
 """
 
@@ -214,9 +215,13 @@ def builtin_scenario(kind: str, *, angle: float | None = None, frames: int | Non
     return scenario_from_dict(raw)
 
 
-# Points per block of mesh_distances are chosen so that a block has about
-# this many point-triangle rows: the temporaries stay a few hundred KB.
+# Points per block of the bounding-sphere prune are chosen so that a block
+# has about this many point-triangle rows: the temporaries stay a few
+# hundred KB.
 _BLOCK_ROWS = 1 << 14
+# Point-triangle pairs per call of the Voronoi evaluation, across points:
+# few calls, and temporaries of a few tens of KB.
+_PAIR_ROWS = 1 << 10
 # Pruning slack, relative to the size of the coordinates.  The bounds and
 # the Voronoi distances each round to within a few ulps of that size; the
 # slack is millions of ulps, so no triangle that could hold the minimum is
@@ -302,6 +307,33 @@ def _bounding_spheres(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return centroids, radii
 
 
+def _pruned_pairs(points: np.ndarray, tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(point, triangle)`` index pairs that the bounds keep, as two arrays.
+
+    Ordered by point, with at least one pair for every point.  The bounds
+    are taken a block of points at a time.
+    """
+    centroids, radii = _bounding_spheres(tris)
+    cx, cy, cz = (np.ascontiguousarray(axis) for axis in centroids.T)
+    extent = np.abs(tris).max()
+    step = max(1, _BLOCK_ROWS // tris.shape[0])
+    rows, cols = [], []
+    for lo in range(0, len(points), step):
+        block = points[lo:lo + step]
+        dx = block[:, 0:1] - cx
+        dy = block[:, 1:2] - cy
+        dz = block[:, 2:3] - cz
+        upper = np.sqrt(dx * dx + dy * dy + dz * dz)
+        nearest = upper.min(axis=1)
+        limit = nearest + _PRUNE_MARGIN * (nearest + np.abs(block).max(axis=1) + extent)
+        # Written as "not above" so a NaN bound keeps its triangle and the
+        # NaN reaches the result, as in min_distance_to_mesh.
+        block_rows, block_cols = np.nonzero(~(upper - radii > limit[:, None]))
+        rows.append(block_rows + lo)
+        cols.append(block_cols)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def mesh_distances(points, tris: np.ndarray) -> np.ndarray:
     """:func:`min_distance_to_mesh` of each row of *points*, bit for bit.
 
@@ -309,30 +341,20 @@ def mesh_distances(points, tris: np.ndarray) -> np.ndarray:
     ``|p - c|``, where ``c`` and ``r`` are its bounding sphere's centre and
     radius.  Only the triangles whose lower bound reaches the smallest
     upper bound (plus a rounding margin) can hold the minimum, so the
-    Voronoi evaluation runs on those pairs alone, all of a block's pairs in
-    one call.  ``inf`` for every point of an empty mesh.
+    Voronoi evaluation runs on those pairs alone.  The pairs of all points
+    are gathered and evaluated ``_PAIR_ROWS`` at a time, then reduced to
+    each point's minimum.  ``inf`` for every point of an empty mesh.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    out = np.full(len(points), math.inf)
-    n = tris.shape[0]
-    if n == 0:
-        return out
-    centroids, radii = _bounding_spheres(tris)
-    extent = np.abs(tris).max()
-    step = max(1, _BLOCK_ROWS // n)
-    for lo in range(0, len(points), step):
-        block = points[lo:lo + step]
-        diff = block[:, None, :] - centroids[None, :, :]
-        upper = np.sqrt((diff * diff).sum(axis=2))
-        nearest = upper.min(axis=1)
-        limit = nearest + _PRUNE_MARGIN * (nearest + np.abs(block).max(axis=1) + extent)
-        # Written as "not above" so a NaN bound keeps its triangle and the
-        # NaN reaches the result, as in min_distance_to_mesh.
-        rows, cols = np.nonzero(~(upper - radii > limit[:, None]))
-        dist = _triangle_distances(block[rows], tris[cols])
-        out[lo:lo + len(block)] = np.minimum.reduceat(
-            dist, np.searchsorted(rows, np.arange(len(block))))
-    return out
+    if tris.shape[0] == 0 or len(points) == 0:
+        return np.full(len(points), math.inf)
+    rows, cols = _pruned_pairs(points, tris)
+    # Each row is evaluated on its own, so where the batches split the
+    # pairs does not change a bit.
+    dist = np.concatenate([
+        _triangle_distances(points[rows[lo:lo + _PAIR_ROWS]], tris[cols[lo:lo + _PAIR_ROWS]])
+        for lo in range(0, len(rows), _PAIR_ROWS)])
+    return np.minimum.reduceat(dist, np.searchsorted(rows, np.arange(len(points))))
 
 
 def _sphere_space_program(scenario: Scenario) -> tuple[Vec3, list[Vec3]]:
@@ -378,11 +400,12 @@ def run_scenario(scenario: Scenario) -> dict[str, list[TrajectoryRecord]]:
 
     The returned dict has one entry for ``improved`` or ``legacy`` runs and
     both entries for ``algorithm = "both"``; both streams see identical
-    inputs.  Each stream's end positions are audited together, after its
-    frames, by :func:`mesh_distances`.  Raises ``ValueError`` when the
-    start position penetrates the mesh, when the start, a velocity or the
-    mesh is out of range in sphere space, or when the radii flatten a
-    triangle there, before any frame runs.
+    inputs.  Every stream's frames run first; then the end positions of
+    all streams are audited in one :func:`mesh_distances` call, so the
+    triangles' bounding spheres are built once per scenario.  Raises
+    ``ValueError`` when the start position penetrates the mesh, when the
+    start, a velocity or the mesh is out of range in sphere space, or when
+    the radii flatten a triangle there, before any frame runs.
     """
     world = build_world(scenario.mesh.load())
     radii = scenario.radii
@@ -416,7 +439,7 @@ def run_scenario(scenario: Scenario) -> dict[str, list[TrajectoryRecord]]:
     legacy_cfg = LegacyConfig(very_close_dist=scenario.epsilon,
                               max_recursion=scenario.legacy_max_recursion)
 
-    out: dict[str, list[TrajectoryRecord]] = {}
+    steps: dict[str, list] = {}
     for algo in algorithms:
         view = EllipsoidWorldView(world, radii)
         pos_sphere = start_s
@@ -428,11 +451,16 @@ def run_scenario(scenario: Scenario) -> dict[str, list[TrajectoryRecord]]:
                 result = collide_with_world_legacy(view, pos_sphere, vel_sphere, legacy_cfg)
             results.append(result)
             pos_sphere = result.final_pos
-        clearances = mesh_distances([r.final_pos for r in results], sphere_tris).tolist()
+        steps[algo] = results
+    clearances = mesh_distances(
+        [r.final_pos for results in steps.values() for r in results], sphere_tris).tolist()
 
+    out: dict[str, list[TrajectoryRecord]] = {}
+    for k, (algo, results) in enumerate(steps.items()):
         pos_world = scenario.start
         records: list[TrajectoryRecord] = []
-        for frame, (result, clearance) in enumerate(zip(results, clearances)):
+        stream = clearances[k * len(velocities):]
+        for frame, (result, clearance) in enumerate(zip(results, stream)):
             new_world = from_sphere_space(result.final_pos, radii)
             records.append(TrajectoryRecord(
                 frame=frame,

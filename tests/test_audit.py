@@ -125,11 +125,67 @@ def test_points_split_across_blocks():
     assert _mismatches(points, SOUP) == 0
 
 
+BIG = _heightfield(91)  # more triangles than _BLOCK_ROWS: one point per block
+
+
 def test_mesh_larger_than_a_block():
-    big = _heightfield(91)
-    assert len(big) > scenario._BLOCK_ROWS  # one point per block
-    points = _probe_points(big, np.random.default_rng(7), 2)
-    assert _mismatches(points, big) == 0
+    assert len(BIG) > scenario._BLOCK_ROWS
+    points = _probe_points(BIG, np.random.default_rng(7), 2)
+    assert _mismatches(points, BIG) == 0
+
+
+def test_nan_point_inside_a_block():
+    per_block = scenario._BLOCK_ROWS // len(SOUP)
+    points = _probe_points(SOUP, np.random.default_rng(8), 2)[:per_block]
+    points[2] = (1.0, np.nan, 2.0)
+    got = mesh_distances(points, SOUP)
+    want = np.array([min_distance_to_mesh(p, SOUP) for p in points])
+    assert np.isnan(got[2]) and np.isnan(want[2])
+    others = np.arange(len(points)) != 2
+    assert (got[others].view(np.uint64) == want[others].view(np.uint64)).all()
+
+
+@pytest.mark.parametrize("mesh", ["soup", "big"])
+def test_points_far_outside_the_mesh(mesh):
+    tris = SOUP if mesh == "soup" else BIG
+    rng = np.random.default_rng(9)
+    directions = rng.normal(size=(12, 3))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    scales = np.repeat([1e3, 1e6, 1e9, 1e15], 3)[:, None]
+    assert _mismatches(tris.mean(axis=(0, 1)) + directions * scales, tris) == 0
+
+
+@pytest.mark.parametrize("pair_rows", [None, 64, 1])
+@pytest.mark.parametrize("mesh", ["soup", "big"])
+def test_pairs_are_evaluated_in_batches(monkeypatch, mesh, pair_rows):
+    tris = SOUP if mesh == "soup" else BIG
+    points = _probe_points(tris, np.random.default_rng(10), 8)
+    want = np.array([min_distance_to_mesh(p, tris) for p in points])
+    default = scenario._PAIR_ROWS
+    pair_rows = pair_rows or default
+    monkeypatch.setattr(scenario, "_PAIR_ROWS", pair_rows)
+
+    calls, pairs = [], []
+    voronoi, pruned = scenario._triangle_distances, scenario._pruned_pairs
+
+    def counted_voronoi(p, t):
+        calls.append(len(t))
+        return voronoi(p, t)
+
+    def counted_pruned(p, t):
+        rows, cols = pruned(p, t)
+        pairs.append(len(rows))
+        return rows, cols
+
+    monkeypatch.setattr(scenario, "_triangle_distances", counted_voronoi)
+    monkeypatch.setattr(scenario, "_pruned_pairs", counted_pruned)
+    got = mesh_distances(points, tris)
+    assert (got.view(np.uint64) == want.view(np.uint64)).all()
+    # Every pair once, in full batches but the last, across points and blocks.
+    full, rest = divmod(pairs[0], pair_rows)
+    assert calls == [pair_rows] * full + [rest] * (rest > 0)
+    if pair_rows == default:
+        assert len(calls) < len(points) / 4  # one call serves many points
 
 
 # The cases above must catch a prune that drops a triangle it cannot rule out.

@@ -44,7 +44,8 @@ def test_tracer_hooks_fire_and_change_nothing():
         world, traced = _work()
     assert tracer.problems == []
     calls = {name: count for name, (count, _, _) in tracer.by_name().items()}
-    for name in ("world.query", "detect.narrowphase", "ellipsoid.view"):
+    # scenario.audit wraps min_distance_to_mesh, the start check of run_scenario.
+    for name in ("world.query", "detect.narrowphase", "ellipsoid.view", "scenario.audit"):
         assert calls.get(name, 0) > 0, name
     assert traced == plain
     assert sum(len(bucket) for bucket in world._cells.values()) > 0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -94,6 +95,67 @@ def test_non_finite_vertex_rejected_with_line(tmp_path, coordinate):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_obj_mesh(str(tmp_path / "nope.obj"))
+
+
+# The reader's error contract: which error a bad face raises, and on which line.
+THREE = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+
+
+@pytest.mark.parametrize("body, line, message", [
+    (THREE + "f 0 1 2\n", 4, "face index 0 is invalid (indices are 1-based)"),
+    # Negative indices count back from the vertices read so far, not the file's.
+    (THREE + "f -4 -2 -1\nv 0 0 1\n", 4, "face index -4 out of range (have 3 vertices)"),
+    # A face may not name a vertex defined on a later line.
+    ("v 0 0 0\nv 1 0 0\nf 1 2 3\nv 0 1 0\n", 3, "face index 3 out of range (have 2 vertices)"),
+    # Every token is parsed before any index is checked: the bad token wins.
+    (THREE + "f 9 1 zz\n", 4, "bad face index: invalid literal for int() with base 10: 'zz'"),
+    (THREE + "f 9/1 1/1 zz/1\n", 4,
+     "bad face index: invalid literal for int() with base 10: 'zz'"),
+    # Indices are checked in order: the first bad one is named.
+    (THREE + "f 1 9 0\n", 4, "face index 9 out of range (have 3 vertices)"),
+    (THREE + "f 1 0 9\n", 4, "face index 0 is invalid (indices are 1-based)"),
+    (THREE + "f 1 -7 2 0\n", 4, "face index -7 out of range (have 3 vertices)"),
+    (THREE + "f 1 2\n", 4, "face needs at least 3 vertices"),
+])
+def test_face_error_names_the_file_line_and_index(tmp_path, body, line, message):
+    path = tmp_path / "bad.obj"
+    path.write_text(body)
+    with pytest.raises(MeshParseError, match=f"^{re.escape(f'{path}:{line}: {message}')}$"):
+        load_obj_mesh(str(path))
+
+
+def test_negative_slash_tokens_resolve_from_end(tmp_path):
+    path = tmp_path / "negslash.obj"
+    path.write_text(THREE + "v 5 5 5\nvt 0 0\nvn 0 0 1\nf -4/-1/-1 -3/-1/-1 -2/-1/-1\n")
+    assert load_obj_mesh(str(path)) == [Triangle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0),
+                                                 (0.0, 1.0, 0.0))]
+
+
+def test_fan_drops_only_its_collinear_triangle(tmp_path):
+    # The fan of 1 2 3 4 5 is (1,2,3), (1,3,4), (1,4,5); vertex 4 lies on
+    # the line through 1 and 3, so the middle triangle alone is dropped.
+    path = tmp_path / "fan.obj"
+    path.write_text("v 0 0 0\nv 2 0 0\nv 1 1 0\nv 2 2 0\nv 0 2 0\nf 1 2 3 4 5\n")
+    assert load_obj_mesh(str(path)) == [
+        Triangle((0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (1.0, 1.0, 0.0)),
+        Triangle((0.0, 0.0, 0.0), (2.0, 2.0, 0.0), (0.0, 2.0, 0.0)),
+    ]
+
+
+def test_byte_order_mark_is_not_part_of_the_first_record(tmp_path):
+    path = tmp_path / "bom.obj"
+    path.write_bytes(b"\xef\xbb\xbf" + (THREE + "v 0 0 1\nv 5 5 5\nf 1 2 3\n").encode())
+    assert load_obj_mesh(str(path)) == [Triangle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0),
+                                                 (0.0, 1.0, 0.0))]
+
+
+def test_large_heightfield_loads_the_triangles_it_describes(heightfield_obj):
+    # 100 x 100 quads: 20,000 triangles, the size of the benchmark's terrain.
+    path, corners = heightfield_obj(100)
+    got = load_obj_mesh(str(path))
+    want = [Triangle(*c) for c in corners]
+    assert len(got) == 20_000
+    assert [(t.a, t.b, t.c, t.normal) for t in got] == [(t.a, t.b, t.c, t.normal) for t in want]
 
 
 # --- builtin meshes ---

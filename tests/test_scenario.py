@@ -239,3 +239,20 @@ def test_audit_equals_the_full_scan_of_the_mesh(kind):
     for records in streams.values():
         for r in records:
             assert r.min_mesh_distance == min_distance_to_mesh(r.position, tris)
+
+
+def test_audit_equals_the_full_scan_on_a_large_obj_mesh(heightfield_obj):
+    # 91 x 91 quads: 16,562 triangles, more than one prune block holds, so
+    # each end position is a block of its own.
+    path, corners = heightfield_obj(91)
+    sc = Scenario(name="walker", mesh=MeshSource(path=str(path)), start=(45.3, 45.7, 8.0),
+                  velocity=(0.4, 0.3, -0.6), frames=20, algorithm="both")
+    tris = np.array(corners)
+    assert len(tris) == 16_562
+    streams = run_scenario(sc)
+    assert set(streams) == {"improved", "legacy"}
+    for records in streams.values():
+        assert len(records) == 20
+        assert min(r.min_mesh_distance for r in records) < 1.1  # it reached the ground
+        for r in records:
+            assert r.min_mesh_distance == min_distance_to_mesh(r.position, tris)
