@@ -13,12 +13,15 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "Vec3",
     "DegenerateVectorError",
     "DegenerateTriangleError",
     "Plane",
     "Triangle",
+    "triangle_normals",
     "add",
     "sub",
     "scale",
@@ -183,6 +186,28 @@ class Triangle:
 
     def vertices(self) -> tuple[Vec3, Vec3, Vec3]:
         return (self.a, self.b, self.c)
+
+
+def triangle_normals(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:class:`Triangle`'s normal of each row ``(a, b, c)`` of an ``(n, 3, 3)`` block.
+
+    Its own test and normal, elementwise and in its operation order, so
+    row ``i`` is accepted exactly when ``Triangle(*vertices[i])`` would be,
+    with the same normal, bit for bit.  Returns the ``(n, 3)`` normals and
+    the boolean mask of accepted rows; a rejected row's normal is garbage.
+    """
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = np.moveaxis(vertices, 0, -1)
+    abx, aby, abz = bx - ax, by - ay, bz - az
+    acx, acy, acz = cx - ax, cy - ay, cz - az
+    with np.errstate(all="ignore"):  # Python floats overflow to inf quietly too
+        nx = aby * acz - abz * acy
+        ny = abz * acx - abx * acz
+        nz = abx * acy - aby * acx
+        nn = nx * nx + ny * ny + nz * nz
+        ok = nn > (DEGENERATE_LENGTH * DEGENERATE_LENGTH
+                   * (abx * abx + aby * aby + abz * abz) * (acx * acx + acy * acy + acz * acz))
+        m = np.sqrt(nn)
+        return np.stack((nx / m, ny / m, nz / m), axis=1), ok
 
 
 def robust_quadratic_roots(a: float, b: float, c: float) -> tuple[float, float] | None:

@@ -15,75 +15,114 @@ import inspect
 import math
 import random
 from functools import partial
+from itertools import compress
 
-from .core import DegenerateTriangleError, Triangle, Vec3, as_type
+import numpy as np
 
-__all__ = ["MeshParseError", "load_obj_mesh", "builtin_mesh", "BUILTIN_MESHES"]
+from .core import DegenerateTriangleError, Triangle, as_type, triangle_normals
+
+__all__ = ["MeshParseError", "load_obj_vertices", "load_obj_mesh", "builtin_mesh",
+           "BUILTIN_MESHES"]
+
+_KINDS = {"v": 1, "f": 2}
 
 
 class MeshParseError(ValueError):
     """An OBJ record could not be parsed; the message carries file:line."""
 
 
-def _resolve_index(raw: int, count: int, path: str, lineno: int) -> int:
-    if raw == 0:
-        raise MeshParseError(f"{path}:{lineno}: face index 0 is invalid (indices are 1-based)")
-    index = raw - 1 if raw > 0 else count + raw
-    if not (0 <= index < count):
-        raise MeshParseError(f"{path}:{lineno}: face index {raw} out of range (have {count} vertices)")
-    return index
+def _first_error(path: str, lines: list[str]) -> MeshParseError | None:
+    """The error of the first malformed record, walking the file line by line."""
+    count = 0  # vertices read so far
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        kind = tokens[0]  # a comment's first token is never "v" or "f"
+        if kind == "v":
+            if len(tokens) < 4:
+                return MeshParseError(f"{path}:{lineno}: vertex needs 3 coordinates")
+            try:
+                vertex = (float(tokens[1]), float(tokens[2]), float(tokens[3]))
+            except ValueError as exc:
+                return MeshParseError(f"{path}:{lineno}: bad vertex coordinate: {exc}")
+            if not all(map(math.isfinite, vertex)):
+                return MeshParseError(f"{path}:{lineno}: non-finite vertex {vertex!r}")
+            count += 1
+        elif kind == "f":
+            if len(tokens) < 4:
+                return MeshParseError(f"{path}:{lineno}: face needs at least 3 vertices")
+            try:
+                raw = [int(tok.partition("/")[0]) for tok in tokens[1:]]
+            except ValueError as exc:
+                return MeshParseError(f"{path}:{lineno}: bad face index: {exc}")
+            for r in raw:  # the first bad index is named
+                if r == 0:
+                    return MeshParseError(
+                        f"{path}:{lineno}: face index 0 is invalid (indices are 1-based)")
+                if not -count <= r <= count:
+                    return MeshParseError(
+                        f"{path}:{lineno}: face index {r} out of range (have {count} vertices)")
+        # all other record types (vn, vt, g, o, s, usemtl, mtllib, #, ...) ignored
+    return None
+
+
+def load_obj_vertices(path: str) -> np.ndarray:
+    """Read the OBJ subset above from *path* as an ``(n, 3, 3)`` block of triangle corners.
+
+    Row ``i`` is the ``i``-th triangle of the faces' fans in file order,
+    collinear ones left out by :func:`~sweepslide.core.triangle_normals`,
+    :class:`Triangle`'s own test.  Raises :class:`MeshParseError` naming
+    the file and line of the first malformed record, and ``OSError`` when
+    the file is missing.  The tokens are converted, and the records
+    checked, all at once; only a malformed file is walked line by line,
+    for its first error.
+    """
+    # utf-8-sig: a byte-order mark would otherwise glue itself to the first record type.
+    with open(path, encoding="utf-8-sig") as fh:
+        lines = fh.read().split("\n")
+    # Each line as its token count times 4 plus its kind (1 vertex, 2 face,
+    # 0 anything else); its token list is dropped at once.
+    code = np.array([len(t) * 4 + _KINDS.get(t[0], 0) if (t := line.split()) else 0
+                     for line in lines], dtype=np.int64)
+    vertex, face = code % 4 == 1, code % 4 == 2
+    vertex_size, face_size = code[vertex] // 4, code[face] // 4
+    if vertex_size.min(initial=4) < 4 or face_size.min(initial=4) < 4:
+        raise _first_error(path, lines)
+    # The lines of each kind are split as one string: no list per line.
+    vertices = " ".join(compress(lines, vertex.tolist())).split()
+    faces = " ".join(compress(lines, face.tolist()))
+    starts = np.cumsum(vertex_size) - vertex_size
+    coords = np.array(vertices, dtype=object)[(starts[:, None] + (1, 2, 3)).ravel()].tolist()
+    # Every token of a face but its first; of "i/t/n", what is before the slash.
+    indices = np.delete(np.array(faces.split(), dtype=object),
+                        np.cumsum(face_size) - face_size).tolist()
+    if "/" in faces:
+        indices = [word.partition("/")[0] for word in indices]
+    try:
+        points = np.array(list(map(float, coords)), dtype=np.float64).reshape(-1, 3)
+        raw = np.array(list(map(int, indices)), dtype=np.int64)
+    except (ValueError, OverflowError):  # not a number, or an index past int64
+        raise _first_error(path, lines) from None
+    sizes = face_size - 1
+    # The vertices read before each face, for each of its indices.
+    count = np.repeat(np.cumsum(vertex)[face], sizes)
+    if not np.isfinite(points).all() or ((raw == 0) | (raw > count) | (raw < -count)).any():
+        raise _first_error(path, lines)
+    index = np.where(raw > 0, raw - 1, count + raw)
+    # Fan each face from its first vertex: corners (0, k, k + 1), k = 1 .. size - 2.
+    fans = sizes - 2
+    first = np.repeat(np.cumsum(sizes) - sizes, fans)
+    k = np.arange(len(first)) - np.repeat(np.cumsum(fans) - fans, fans) + 1
+    corners = np.stack((index[first], index[first + k], index[first + k + 1]), axis=1)
+    block = points[corners]
+    return block[triangle_normals(block)[1]]
 
 
 def load_obj_mesh(path: str) -> list[Triangle]:
-    """Read the OBJ subset above from *path*.
-
-    Raises :class:`MeshParseError` with a line number on malformed records
-    and ``OSError`` when the file is missing.
-    """
-    vertices: list[Vec3] = []
-    triangles: list[Triangle] = []
-
-    # utf-8-sig: a byte-order mark would otherwise glue itself to the first record type.
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            kind = tokens[0]  # a comment's first token is never "v" or "f"
-            if kind == "v":
-                if len(tokens) < 4:
-                    raise MeshParseError(f"{path}:{lineno}: vertex needs 3 coordinates")
-                try:
-                    vertex = (float(tokens[1]), float(tokens[2]), float(tokens[3]))
-                except ValueError as exc:
-                    raise MeshParseError(f"{path}:{lineno}: bad vertex coordinate: {exc}") from exc
-                if not all(map(math.isfinite, vertex)):
-                    raise MeshParseError(f"{path}:{lineno}: non-finite vertex {vertex!r}")
-                vertices.append(vertex)
-            elif kind == "f":
-                if len(tokens) < 4:
-                    raise MeshParseError(f"{path}:{lineno}: face needs at least 3 vertices")
-                try:
-                    if "/" in line:
-                        raw = [int(tok.split("/")[0]) for tok in tokens[1:]]
-                    else:
-                        raw = list(map(int, tokens[1:]))
-                except ValueError as exc:
-                    raise MeshParseError(f"{path}:{lineno}: bad face index: {exc}") from exc
-                count = len(vertices)
-                if 0 in raw or min(raw) < -count or max(raw) > count:
-                    for r in raw:  # raises on the first bad index
-                        _resolve_index(r, count, path, lineno)
-                idx = [r - 1 if r > 0 else count + r for r in raw]
-                first = vertices[idx[0]]
-                for k in range(1, len(idx) - 1):  # fan from the first vertex
-                    try:
-                        triangles.append(Triangle(first, vertices[idx[k]], vertices[idx[k + 1]]))
-                    except DegenerateTriangleError:
-                        pass
-            # all other record types (vn, vt, g, o, s, usemtl, mtllib, #, ...) ignored
-
-    return triangles
+    """The triangles of :func:`load_obj_vertices`, one :class:`Triangle` per row."""
+    return [Triangle(tuple(a), tuple(b), tuple(c))
+            for a, b, c in load_obj_vertices(path).tolist()]
 
 
 def _floor_mesh(size: float = 200.0) -> list[Triangle]:

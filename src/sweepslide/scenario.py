@@ -23,12 +23,12 @@ from typing import Union
 
 import numpy as np
 
-from .core import DEGENERATE_LENGTH, Triangle, Vec3, as_type, check_stand_off, distance, dot
+from .core import Triangle, Vec3, as_type, check_stand_off, distance, dot, triangle_normals
 from .ellipsoid import EllipsoidRadii, EllipsoidWorldView, from_sphere_space, to_sphere_space
 from .legacy import LegacyConfig, collide_with_world_legacy
-from .mesh import builtin_mesh, load_obj_mesh
+from .mesh import builtin_mesh, load_obj_mesh, load_obj_vertices
 from .response import ResponseConfig, sphere_sweep
-from .world import build_world
+from .world import World, build_world
 
 __all__ = [
     "Scenario",
@@ -68,6 +68,12 @@ class MeshSource:
         if self.path is not None:
             return load_obj_mesh(self.path)
         return builtin_mesh(self.builtin, **self.params)
+
+    def build(self) -> World:
+        """The mesh's world; a file goes to the grid as one vertex block, with no Triangle per face."""
+        if self.path is not None:
+            return build_world(load_obj_vertices(self.path))
+        return build_world(self.load())
 
 
 @dataclass(frozen=True)
@@ -376,25 +382,6 @@ def _sphere_space_program(scenario: Scenario) -> tuple[Vec3, list[Vec3]]:
     return scaled[0], scaled[1:]
 
 
-def _flattened(tris: np.ndarray) -> np.ndarray:
-    """Indices of the rows of *tris*, an ``(n, 3, 3)`` block, that :class:`Triangle` rejects.
-
-    Its own test, elementwise and in its operation order, so a row is
-    flagged exactly when ``Triangle(a, b, c)`` of its corners would raise.
-    """
-    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = tris[:, 0].T, tris[:, 1].T, tris[:, 2].T
-    abx, aby, abz = bx - ax, by - ay, bz - az
-    acx, acy, acz = cx - ax, cy - ay, cz - az
-    with np.errstate(all="ignore"):  # Python floats overflow to inf quietly too
-        nx = aby * acz - abz * acy
-        ny = abz * acx - abx * acz
-        nz = abx * acy - aby * acx
-        nn = nx * nx + ny * ny + nz * nz
-        return np.flatnonzero(~(nn > (DEGENERATE_LENGTH * DEGENERATE_LENGTH
-                                      * (abx * abx + aby * aby + abz * abz)
-                                      * (acx * acx + acy * acy + acz * acz))))
-
-
 def run_scenario(scenario: Scenario) -> dict[str, list[TrajectoryRecord]]:
     """Run *scenario* and return one record stream per algorithm.
 
@@ -407,7 +394,7 @@ def run_scenario(scenario: Scenario) -> dict[str, list[TrajectoryRecord]]:
     start, a velocity or the mesh is out of range in sphere space, or when
     the radii flatten a triangle there, before any frame runs.
     """
-    world = build_world(scenario.mesh.load())
+    world = scenario.mesh.build()
     radii = scenario.radii
     start_s, velocities = _sphere_space_program(scenario)
     try:
@@ -421,7 +408,7 @@ def run_scenario(scenario: Scenario) -> dict[str, list[TrajectoryRecord]]:
             f"scenario {scenario.name!r}: the mesh overflows once divided by radii "
             f"{radii.as_tuple()!r}"
         ) from None
-    flattened = _flattened(sphere_tris)
+    flattened = np.flatnonzero(~triangle_normals(sphere_tris)[1])
     if flattened.size:
         raise ValueError(
             f"scenario {scenario.name!r}: radii {radii.as_tuple()!r} flatten {flattened.size} "

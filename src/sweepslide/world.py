@@ -11,6 +11,8 @@ The world also keeps every triangle's box and plane as float64 arrays, so
 the grid's answer to a sweep can be cut down with two vectorised filters
 before any triangle reaches the scalar narrowphase, and its vertices as one
 ``(n, 3, 3)`` float64 block for the exhaustive audit, which reads no grid.
+A world can be built from such a block alone; it then makes each
+:class:`Triangle` only when a sweep first reaches it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import Triangle, Vec3
+from .core import Triangle, Vec3, triangle_normals
 
 __all__ = ["World", "build_world"]
 
@@ -55,6 +57,11 @@ SWEEP_BOX_SLACK = 1e-2
 # along the sweep.  The slack absorbs the rounding between the filter's
 # arithmetic and the narrowphase's.
 SLAB_MARGIN = 1.0 + SWEEP_BOX_SLACK
+
+# A grid of at least this many entries is filled from one numpy sort (see
+# _sorted_cells); below it, numpy's cost per call outweighs the Python
+# loop's per entry.
+SORTED_FILL_ENTRIES = 2048
 
 Bounds = tuple[Vec3, Vec3]
 
@@ -104,6 +111,31 @@ def _overlap_column(bounds: Bounds) -> np.ndarray:
     return np.array((*hi, -lo[0], -lo[1], -lo[2]))[:, None]
 
 
+class _LazyTriangles(Sequence):
+    """The rows of a vertex block as :class:`Triangle` objects, each made when first read."""
+
+    __slots__ = ("_vertices", "_made")
+
+    def __init__(self, vertices: np.ndarray):
+        self._vertices = vertices
+        self._made: list[Triangle | None] = [None] * len(vertices)
+
+    def __len__(self) -> int:
+        return len(self._made)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self._made)))]
+        tri = self._made[index]
+        if tri is None:
+            a, b, c = self._vertices[index].tolist()
+            tri = self._made[index] = Triangle(tuple(a), tuple(b), tuple(c))
+        return tri
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._made)))
+
+
 class World:
     """Immutable triangle soup plus its grid; build once, query anywhere.
 
@@ -116,7 +148,7 @@ class World:
 
     __slots__ = ("triangles", "vertices", "_cell_size", "_cells", "_boxes", "_planes")
 
-    def __init__(self, triangles: tuple[Triangle, ...], vertices: np.ndarray, cell_size: float,
+    def __init__(self, triangles: Sequence[Triangle], vertices: np.ndarray, cell_size: float,
                  cells: dict[tuple[int, int, int], list[int]],
                  boxes: np.ndarray, planes: np.ndarray):
         self.triangles = triangles
@@ -204,8 +236,63 @@ class World:
         return np.flatnonzero((self._boxes <= _overlap_column(bounds)).all(axis=0)).tolist()
 
 
-def build_world(triangles: Sequence[Triangle]) -> World:
+def _sorted_cells(lo: np.ndarray, hi: np.ndarray, size: float) -> dict | None:
+    """The grid of boxes ``lo``-``hi`` at cell *size*, from one numpy sort.
+
+    Each (cell, triangle) entry is one int64, the cell's packed key times
+    the triangle count plus the triangle's index, so one sort orders the
+    entries by cell and each cell's triangles ascending, and each bucket
+    is a slice of one list.  ``None`` when an entry would not fit.
+    """
+    first, last = np.floor(lo / size), np.floor(hi / size)
+    if not max(np.abs(first).max(initial=0.0), np.abs(last).max(initial=0.0)) < 2.0 ** 62:
+        return None
+    first, last = first.astype(np.int64), last.astype(np.int64)
+    count = len(first)
+    base = first.min(axis=0)
+    sx, sy, sz = (last.max(axis=0) - base + 1).tolist()
+    if sx * sy * sz * count >= 2 ** 63:
+        return None
+    ext = last - first + 1
+    per = ext[:, 0] * ext[:, 1] * ext[:, 2]
+    # Each triangle's box is walked in z, then y, then x from its first cell.
+    owner = np.repeat(np.arange(count), per)
+    step = np.arange(len(owner)) - np.repeat(np.cumsum(per) - per, per)
+    rel = first - base
+    entry = ((rel[:, 0] * sy + rel[:, 1]) * sz + rel[:, 2])[owner]
+    along = ext[owner, 2]
+    entry += step % along
+    step //= along
+    along = ext[owner, 1]
+    entry += step % along * sz
+    entry += step // along * (sy * sz)
+    entry *= count
+    entry += owner
+    del owner, step, along
+    entry.sort()
+    # The buckets share one int object per triangle, as the Python fill's do.
+    members = np.array(range(count), dtype=object)[entry % count].tolist()
+    entry //= count
+    starts = np.flatnonzero(np.concatenate(((True,), entry[1:] != entry[:-1])))
+    key = entry[starts]
+    del entry
+    xs = (key // (sy * sz) + base[0]).tolist()
+    ys = (key // sz % sy + base[1]).tolist()
+    zs = (key % sz + base[2]).tolist()
+    bounds = starts.tolist()
+    bounds.append(len(members))
+    return {cell: members[b0:b1] for cell, b0, b1 in zip(zip(xs, ys, zs), bounds, bounds[1:])}
+
+
+def build_world(triangles: Sequence[Triangle] | np.ndarray) -> World:
     """Index *triangles* into a uniform grid sized for them.
+
+    *triangles* is a sequence of :class:`Triangle` or an ``(n, 3, 3)``
+    block of their vertices, as ``World.vertices`` holds them.  A block's
+    rows must pass :class:`Triangle`'s own test (``ValueError`` naming the
+    first that does not), and its ``Triangle`` objects are made only when
+    a sweep or a reader of ``World.triangles`` first reaches them; a
+    sequence is kept as given.
 
     The cells start at ``CELL_SIZE`` and double while the triangles would
     cover more than ``MAX_CELLS_PER_TRIANGLE`` cells each on average.
@@ -213,16 +300,29 @@ def build_world(triangles: Sequence[Triangle]) -> World:
     more than ``MAX_CELL_ENTRIES`` entries at ``CELL_SIZE`` before building
     anything.
     """
-    tris = tuple(triangles)
-    count = len(tris)
-    # One flat pass over the triangles' a, b, c and normal.
-    flat = np.fromiter(chain.from_iterable(chain(t.a, t.b, t.c, t.normal) for t in tris),
-                       dtype=np.float64, count=12 * count).reshape(count, 4, 3)
-    vertices = flat[:, :3].copy()
+    if isinstance(triangles, np.ndarray):
+        if triangles.ndim != 3 or triangles.shape[1:] != (3, 3):
+            raise ValueError(f"a vertex block has shape (n, 3, 3), got {triangles.shape}")
+        vertices = np.array(triangles, dtype=np.float64, order="C")
+        normal, accepted = triangle_normals(vertices)
+        if not accepted.all():
+            index = int(np.argmin(accepted))
+            raise ValueError(f"row {index} of the vertex block is no triangle (collinear or "
+                             f"non-finite vertices): {vertices[index].tolist()!r}")
+        tris = _LazyTriangles(vertices)
+    else:
+        tris = tuple(triangles)
+        count = len(tris)
+        # One flat pass over the triangles' a, b, c and normal.
+        flat = np.fromiter(chain.from_iterable(chain(t.a, t.b, t.c, t.normal) for t in tris),
+                           dtype=np.float64, count=12 * count).reshape(count, 4, 3)
+        vertices = flat[:, :3].copy()
+        normal = flat[:, 3]
     vertices.flags.writeable = False  # public, and the audit trusts it
+    count = len(vertices)
     lo = vertices.min(axis=1)
     hi = vertices.max(axis=1)
-    normal, a = flat[:, 3], flat[:, 0]
+    a = vertices[:, 0]
     offset = normal[:, 0] * a[:, 0] + normal[:, 1] * a[:, 1] + normal[:, 2] * a[:, 2]
     size = CELL_SIZE
     entries = _cell_entries(lo, hi, size)
@@ -237,13 +337,15 @@ def build_world(triangles: Sequence[Triangle]) -> World:
     while entries > MAX_CELLS_PER_TRIANGLE * count:
         size *= 2.0
         entries = _cell_entries(lo, hi, size)
-    cells: dict[tuple[int, int, int], list[int]] = {}
-    for index, x0, y0, z0, x1, y1, z1 in zip(range(count), *_cell_coords(lo, size),
-                                             *_cell_coords(hi, size)):
-        for ix in range(x0, x1 + 1):
-            for iy in range(y0, y1 + 1):
-                for iz in range(z0, z1 + 1):
-                    cells.setdefault((ix, iy, iz), []).append(index)
-    # Appending in index order already leaves each bucket sorted ascending.
+    cells = _sorted_cells(lo, hi, size) if entries >= SORTED_FILL_ENTRIES else None
+    if cells is None:
+        cells = {}
+        for index, x0, y0, z0, x1, y1, z1 in zip(range(count), *_cell_coords(lo, size),
+                                                 *_cell_coords(hi, size)):
+            for ix in range(x0, x1 + 1):
+                for iy in range(y0, y1 + 1):
+                    for iz in range(z0, z1 + 1):
+                        cells.setdefault((ix, iy, iz), []).append(index)
+        # Appending in index order already leaves each bucket sorted ascending.
     return World(tris, vertices, size, cells, np.hstack((lo, -hi)).T.copy(),
                  np.column_stack((normal, -offset)).T.copy())

@@ -13,6 +13,8 @@ from pathlib import Path
 from sweepslide import (
     EllipsoidRadii,
     EllipsoidWorldView,
+    MeshSource,
+    Scenario,
     build_world,
     builtin_mesh,
     builtin_scenario,
@@ -49,3 +51,25 @@ def test_tracer_hooks_fire_and_change_nothing():
         assert calls.get(name, 0) > 0, name
     assert traced == plain
     assert sum(len(bucket) for bucket in world._cells.values()) > 0
+
+
+def test_tracer_hooks_fire_on_a_world_read_from_an_obj_file(heightfield_obj):
+    # run_scenario indexes an OBJ file's vertex block, so that world makes
+    # its Triangles only when they are read: by a sweep, or by the query
+    # hook, which checks every broadphase answer against all of them.
+    path, _ = heightfield_obj(12)
+    scenario = Scenario(name="walker", mesh=MeshSource(path=str(path)), start=(3.3, 4.1, 6.0),
+                        velocity=(0.4, 0.2, -0.8), frames=10,
+                        radii=EllipsoidRadii(0.8, 0.8, 1.8), algorithm="both")
+    plain = run_scenario(scenario)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        traced = run_scenario(scenario)
+        queried = [grid for grid, _ in tracer._boxes.values()]
+    assert tracer.problems == []
+    calls = {name: count for name, (count, _, _) in tracer.by_name().items()}
+    for name in ("world.build", "world.query", "ellipsoid.view", "detect.narrowphase"):
+        assert calls.get(name, 0) > 0, name
+    assert len(queried) == 1 and not isinstance(queried[0].triangles, tuple)
+    assert traced == plain
+    assert min(r.min_mesh_distance for records in plain.values() for r in records) < 1.1

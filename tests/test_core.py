@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from sweepslide.core import (
     scale,
     signed_plane_distance,
     sub,
+    triangle_normals,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -104,6 +106,7 @@ def test_triangle_rejects_collinear():
 def test_triangle_rejects_non_finite_vertices(a, b, c):
     with pytest.raises(DegenerateTriangleError, match="collinear or non-finite"):
         Triangle(a, b, c)
+    assert not triangle_normals(np.array([(a, b, c)]))[1][0]
 
 
 @pytest.mark.parametrize("size", [1e-9, 1e-7, 1.0, 1e6])
@@ -150,6 +153,11 @@ def test_triangle_normal_is_bit_identical_to_the_helper_formulation(vertices):
             Triangle(*vertices)
     else:
         assert Triangle(*vertices).normal == expected
+    # The block form, one row of it.
+    normals, accepted = triangle_normals(np.array([vertices]))
+    assert accepted.tolist() == [expected is not None]
+    if expected is not None:
+        assert tuple(normals[0].tolist()) == expected
 
 
 # --- quadratic solver ---

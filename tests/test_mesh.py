@@ -1,10 +1,11 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from sweepslide.core import Triangle, dot, norm, sub
-from sweepslide.mesh import MeshParseError, builtin_mesh, load_obj_mesh
+from sweepslide.mesh import MeshParseError, builtin_mesh, load_obj_mesh, load_obj_vertices
 
 
 # --- OBJ loading ---
@@ -157,6 +158,73 @@ def test_large_heightfield_loads_the_triangles_it_describes(heightfield_obj):
     assert len(got) == 20_000
     assert [(t.a, t.b, t.c, t.normal) for t in got] == [(t.a, t.b, t.c, t.normal) for t in want]
 
+
+
+def _loaded(path):
+    """The loaded triangles with their normals, or the error's message."""
+    try:
+        return [(t.a, t.b, t.c, t.normal) for t in load_obj_mesh(str(path))]
+    except MeshParseError as exc:
+        return str(exc).replace(str(path), "<path>")
+
+
+@pytest.mark.parametrize("body", [
+    THREE + "v 0 0 1\n# a comment\n\nf 1 2 3\nf 1 2 4 3\n",
+    THREE + "v 0 0 1\n\nf 1 2 4\nf 1 2 zz\n",
+    THREE + "\nv 0 0 nan\n",
+], ids=["triangles", "bad-face", "non-finite"])
+def test_crlf_line_endings_read_the_same(tmp_path, body):
+    lf, crlf = tmp_path / "lf.obj", tmp_path / "crlf.obj"
+    lf.write_bytes(body.encode())
+    crlf.write_bytes(body.replace("\n", "\r\n").encode())
+    assert _loaded(crlf) == _loaded(lf)
+    assert _loaded(lf) != []
+
+
+def test_tabs_and_a_fourth_vertex_coordinate_are_accepted(tmp_path):
+    path = tmp_path / "tabs.obj"
+    path.write_text("v\t0\t0\t0\nv 1 0 0 1.0\n  v\t0 1 0\t0.5\nf\t1 2\t3\n")
+    assert load_obj_mesh(str(path)) == [Triangle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0),
+                                                 (0.0, 1.0, 0.0))]
+
+
+@pytest.mark.parametrize("body, message", [
+    # The first malformed line in file order wins, whatever its kind.
+    ("v 0 0 0\nv nan 0 0\nv 0 1 0\nf 1 2 zz\n", ":2: non-finite vertex (nan, 0.0, 0.0)"),
+    ("v 0 0 0\nf 1 2 zz\nv 0 1 0\nv nan 0 0\n",
+     ":2: bad face index: invalid literal for int() with base 10: 'zz'"),
+    ("v 0 0 0\nv 1 0\nf 1 2 3\n", ":2: vertex needs 3 coordinates"),
+    ("v 0 0 0\nv 1 0 zz\n", ":2: bad vertex coordinate: could not convert string to float: 'zz'"),
+    (THREE + "f 1 2 99999999999999999999\n",
+     ":4: face index 99999999999999999999 out of range (have 3 vertices)"),
+    (THREE + "f 1 2 3\nf 1 2 3 4\n", ":5: face index 4 out of range (have 3 vertices)"),
+])
+def test_the_first_malformed_line_names_the_error(tmp_path, body, message):
+    path = tmp_path / "bad.obj"
+    path.write_text(body)
+    with pytest.raises(MeshParseError, match=f"^{re.escape(f'{path}{message}')}$"):
+        load_obj_mesh(str(path))
+
+
+def test_triangles_are_the_rows_of_the_vertex_block(tmp_path):
+    # Polygons fanned, a collinear fan triangle dropped, negative and
+    # slashed indices, faces between vertices.
+    path = tmp_path / "mixed.obj"
+    path.write_text("v 0 0 0\nv 2 0 0\nv 1 1 0\nv 2 2 0\nv 0 2 0\nf 1 2 3 4 5\n"
+                    "v 0 0 3\nf -1/1 1/2/3 2//1\nvt 0 0\nf 6 -6 -4\n")
+    block = load_obj_vertices(str(path))
+    assert block.dtype == np.float64 and block.shape == (4, 3, 3)
+    want = [Triangle(*map(tuple, row)) for row in block.tolist()]
+    got = load_obj_mesh(str(path))
+    assert [(t.a, t.b, t.c, t.normal) for t in got] == [(t.a, t.b, t.c, t.normal) for t in want]
+    assert got[2].vertices() == ((0.0, 0.0, 3.0), (0.0, 0.0, 0.0), (2.0, 0.0, 0.0))
+
+
+def test_an_empty_file_has_no_triangles(tmp_path):
+    path = tmp_path / "empty.obj"
+    path.write_text("# nothing\n")
+    assert load_obj_vertices(str(path)).shape == (0, 3, 3)
+    assert load_obj_mesh(str(path)) == []
 
 # --- builtin meshes ---
 

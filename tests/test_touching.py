@@ -10,11 +10,12 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sweepslide.core import (
     DegenerateTriangleError,
+    DegenerateVectorError,
     Triangle,
     add,
     cross,
@@ -118,23 +119,36 @@ def _nudged(p, ulps):
 
 def _touching_starts(tri, s, f, phi):
     """A point one unit off a vertex, an edge and the face of *tri*, with
-    the outward direction from each feature."""
+    the outward direction from each feature.
+
+    A feature whose outward direction cannot be normalised, such as the
+    vertex between a sliver's 1e-32 edge and a long one, which ``Triangle``
+    accepts because its test is relative, gives no start.
+    """
     a, b, c = tri.a, tri.b, tri.c
     n = tri.normal
+    tilt = (math.cos(phi), math.sin(phi))
     # The vertex's outward bisector and the edge's outward in-plane normal
     # keep the start in that feature's Voronoi region, so the feature is
     # the nearest point of the triangle.
-    bisector = normalize(scale(add(normalize(sub(b, a)), normalize(sub(c, a))), -1.0))
-    edge_out = normalize(cross(sub(b, a), n))
-    if dot(edge_out, sub(c, a)) > 0.0:
-        edge_out = scale(edge_out, -1.0)
-    tilt = (math.cos(phi), math.sin(phi))
-    for point, out in (
-            (a, add(scale(n, tilt[0]), scale(bisector, tilt[1]))),
-            (add(a, scale(sub(b, a), f)), add(scale(n, tilt[0]), scale(edge_out, tilt[1]))),
-            (add(a, add(scale(sub(b, a), s), scale(sub(c, a), (1.0 - s) * f))),
-             scale(n, 1.0 if phi < 0.5 * math.pi else -1.0))):
-        yield add(point, out), out
+    try:
+        bisector = normalize(scale(add(normalize(sub(b, a)), normalize(sub(c, a))), -1.0))
+    except DegenerateVectorError:
+        pass
+    else:
+        out = add(scale(n, tilt[0]), scale(bisector, tilt[1]))
+        yield add(a, out), out
+    try:
+        edge_out = normalize(cross(sub(b, a), n))
+    except DegenerateVectorError:
+        pass
+    else:
+        if dot(edge_out, sub(c, a)) > 0.0:
+            edge_out = scale(edge_out, -1.0)
+        out = add(scale(n, tilt[0]), scale(edge_out, tilt[1]))
+        yield add(add(a, scale(sub(b, a), f)), out), out
+    out = scale(n, 1.0 if phi < 0.5 * math.pi else -1.0)
+    yield add(add(a, add(scale(sub(b, a), s), scale(sub(c, a), (1.0 - s) * f))), out), out
 
 
 @given(st.tuples(*[st.tuples(_coord, _coord, _coord)] * 3),
@@ -142,6 +156,10 @@ def _touching_starts(tri, s, f, phi):
        st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, math.pi),
        _ulps, st.floats(0.01, 2.0), st.tuples(*[st.floats(-1.0, 1.0)] * 3))
 @settings(max_examples=250, deadline=None)
+# A sliver Triangle accepts: its vertex start has no bisector.
+@example(verts=((0.0, 0.0, 0.0), (0.0, 1.0, 1.0), (2.3640112368562358e-32, 0.0, 0.0)),
+         offset=(0.0, 0.0, 0.0), s=0.0, f=0.0, phi=0.0, ulps=(-1, -1, -1), speed=1.0,
+         drift=(0.0, 0.0, 0.0))
 def test_touching_starts_keep_the_guarantees(verts, offset, s, f, phi, ulps, speed, drift):
     # One unit off a vertex, an edge or the face of a random tilted
     # triangle, give or take an ulp, far from the origin or not, moving in

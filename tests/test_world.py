@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweepslide.core import Triangle
+from sweepslide.core import DegenerateTriangleError, Triangle
 from sweepslide.mesh import builtin_mesh
 from sweepslide.scenario import builtin_scenario
+from sweepslide import world as world_module
 from sweepslide.world import (
     CELL_SIZE,
     MAX_CELL_ENTRIES,
@@ -273,3 +274,113 @@ def test_grown_cells_answer_every_query(tris, data):
         got = world.query_candidates(box)
         assert set(world.brute_force_indices(box)) <= set(got)
         assert world.sweep_indices(start, end) == _exact_scan(world, start, end)
+
+
+# --- worlds built from a vertex block ---
+
+def _block(tris):
+    return np.array([t.vertices() for t in tris], dtype=np.float64).reshape(-1, 3, 3)
+
+
+# A sliver Triangle accepts, because its test is relative: a 1e-32 edge
+# beside a long one.
+SLIVER = ((0.0, 0.0, 0.0), (0.0, 1.0, 1.0), (2.3640112368562358e-32, 0.0, 0.0))
+
+
+@st.composite
+def _soups(draw):
+    """Soups near the origin or up to 1e8 from it, some large enough for
+    the sorted fill, with slivers mixed in."""
+    offset = draw(st.sampled_from((0.0, 1e4, -1e6, 1e8)))
+    soup = builtin_mesh("random_soup", n=draw(st.sampled_from((0, 1, 7, 40, 400, 900))),
+                        seed=draw(st.integers(0, 1000)), extent=draw(st.floats(2.0, 40.0)))
+    tris = []
+    for tri in soup:
+        try:
+            tris.append(Triangle(*(tuple(v + offset for v in p) for p in tri.vertices())))
+        except DegenerateTriangleError:
+            pass  # flattened by the offset's rounding
+    for scale in draw(st.lists(st.floats(1e-3, 1e3), max_size=3)):
+        tris.insert(draw(st.integers(0, len(tris))),
+                    Triangle(*(tuple(v * scale for v in p) for p in SLIVER)))
+    return tris
+
+
+@given(_soups())
+@settings(max_examples=40, deadline=None)
+def test_a_block_builds_the_world_its_triangles_build(tris):
+    got, want = build_world(_block(tris)), build_world(tris)
+    for name in ("vertices", "_boxes", "_planes"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.cell_size == want.cell_size
+    assert got._cells == want._cells == _fixed_grid(tris, want.cell_size)
+    assert len(got.triangles) == len(tris)
+    for i, row in enumerate(got.vertices.tolist()):
+        made = Triangle(*map(tuple, row))
+        assert got.triangles[i] == made == tris[i]  # the normal too
+        assert got.triangles[i].normal == made.normal
+
+
+@pytest.mark.parametrize("bad", [
+    ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0)),
+    ((1e8, 1e8, 1e8), (1e8, 1e8, 1e8), (1e8 + 1.0, 1e8, 1e8)),
+    ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (math.nan, 0.0, 0.0)),
+    ((0.0, 0.0, 0.0), (math.inf, 0.0, 0.0), (0.0, 1.0, 0.0)),
+    ((0.0, 0.0, 0.0), (1e300, 0.0, 0.0), (0.0, 1e300, 0.0)),  # squares overflow
+], ids=["collinear", "repeated", "nan", "inf", "overflow"])
+def test_a_block_row_triangle_rejects_is_named(bad):
+    with pytest.raises(DegenerateTriangleError):
+        Triangle(*bad)
+    block = _block(builtin_mesh("random_soup", n=6, seed=1))
+    block = np.concatenate((block[:3], np.array([bad]), block[3:]))
+    with pytest.raises(ValueError, match=r"^row 3 of the vertex block"):
+        build_world(block)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (4, 3, 2), (3, 3), (2, 3, 3, 1)])
+def test_a_block_of_the_wrong_shape_is_rejected(shape):
+    with pytest.raises(ValueError, match="shape"):
+        build_world(np.zeros(shape))
+
+
+def test_block_triangles_are_made_once_when_first_read():
+    tris = builtin_mesh("random_soup", n=30, seed=2)
+    block = _block(tris)
+    world = build_world(block)
+    block[:] = 0.0  # the world keeps its own copy
+    made = world.triangles._made
+    assert made.count(None) == 30
+    found = world.candidates((0.0, 0.0, 12.0), (0.0, 0.0, -12.0))
+    assert found and made.count(None) == 30 - len(found)
+    assert [tri for _, tri in found] == [tris[i] for i, _ in found]
+    assert world.triangles[3] is world.triangles[3]
+    assert world.triangles[-1] == tris[-1]
+    assert world.triangles[2:5] == tris[2:5]
+    assert list(world.triangles) == tris
+    assert made.count(None) == 0
+
+
+def test_triangles_passed_in_are_kept():
+    tris = builtin_mesh("random_soup", n=5, seed=2)
+    world = build_world(tris)
+    assert all(got is tri for got, tri in zip(world.triangles, tris, strict=True))
+
+
+@pytest.mark.parametrize("tris, sorted_fill", [
+    (builtin_mesh("random_soup", n=300, seed=4, extent=20.0), True),
+    (_heightfield(12, seed=3), True),
+    ([Triangle(*(tuple(v - 1e8 for v in p) for p in t.vertices()))
+      for t in builtin_mesh("random_soup", n=50, seed=6, extent=5.0)], True),
+    (builtin_mesh("box_room"), True),
+    # Keys past int64: the cell coordinates themselves, or the packed
+    # entry of cells spread 1e14 apart along every axis.
+    ([Triangle((1e20, 0.0, 0.0), (1e20, 1.0, 0.0), (1e20, 0.0, 1.0)),
+      Triangle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))], False),
+    ([Triangle((s, s, s), (s + 1.0, s, s), (s, s + 1.0, s)) for s in (-4e14, 4e14)], False),
+], ids=["soup", "heightfield", "far-soup", "box_room", "beyond-int64", "wide-spread"])
+def test_the_sorted_fill_is_the_python_fill(monkeypatch, tris, sorted_fill):
+    monkeypatch.setattr(world_module, "SORTED_FILL_ENTRIES", 0)
+    world = build_world(tris)
+    assert world._cells == _fixed_grid(tris, world.cell_size)
+    lo, hi = world.vertices.min(axis=1), world.vertices.max(axis=1)
+    assert (world_module._sorted_cells(lo, hi, world.cell_size) is not None) == sorted_fill
