@@ -125,17 +125,21 @@ def sweep_unit_sphere_triangle(source: Vec3, vel: Vec3, tri: Triangle) -> SweepH
 
     Returns ``None`` when the triangle is not reached within the frame
     (t in [0, 1]).  A start already closer than one unit to the triangle
-    reports t = 0 with the nearest surface point as the contact so the
-    caller never crashes on a bad input; such starts are the response
-    algorithm's job to avoid.
+    that closes in on it (``(source - nearest) . vel < 0``) reports t = 0
+    with the nearest surface point as the contact, so the caller never
+    crashes on a bad input; such starts are the response algorithm's job
+    to avoid.  One that moves away, sideways or not at all is tested like
+    any other start: its distance from the triangle, a convex set, cannot
+    fall, so a sphere resting at one radius whose distance rounds below it
+    can still leave.
     """
     nearest = closest_point_on_triangle(source, tri)
     sx, sy, sz = source
+    vx, vy, vz = vel
     dx, dy, dz = sx - nearest[0], sy - nearest[1], sz - nearest[2]
-    if math.sqrt(dx * dx + dy * dy + dz * dz) < 1.0:
+    if math.sqrt(dx * dx + dy * dy + dz * dz) < 1.0 and dx * vx + dy * vy + dz * vz < 0.0:
         return SweepHit(0.0, nearest)
 
-    vx, vy, vz = vel
     vel_sq = vx * vx + vy * vy + vz * vz
     if vel_sq < 1e-24:
         return None

@@ -447,7 +447,13 @@ def check_ellipsoid_roundtrip() -> CheckResult:
 
 
 def run_all(trials: int = 10000, seed: int = 2024) -> list[CheckResult]:
-    """Run every acceptance check, printing one PASS/FAIL line per criterion."""
+    """Run every acceptance check, printing one PASS/FAIL line per criterion.
+
+    *trials* is the fuzz corpus's frame count; fewer than one would pass
+    the corpus checks on no frames, so it raises ``ValueError``.
+    """
+    if trials < 1:
+        raise ValueError(f"verify needs at least one trial, got {trials}")
     fuzz = _run_fuzz_corpus(trials, seed)
     results = [
         check_iteration_bounds(fuzz),

@@ -8,9 +8,15 @@ its own cells: ``CELL_SIZE``, doubled while its triangles would cover more
 than ``MAX_CELLS_PER_TRIANGLE`` cells each on average.
 
 The world also keeps every triangle's box and plane as float64 arrays, so
-the grid's answer to a sweep can be cut down with two vectorised filters
-before any triangle reaches the scalar narrowphase, and its vertices as one
-``(n, 3, 3)`` float64 block for the exhaustive audit, which reads no grid.
+the grid's answer to a sweep can be cut down with two filters, an exact box
+test and a plane slab, before any triangle reaches the scalar narrowphase,
+and its vertices as one ``(n, 3, 3)`` float64 block for the exhaustive
+audit, which reads no grid.  An answer of at most
+``SCALAR_FILTER_CANDIDATES`` triangles is box-tested in Python floats, from
+per-triangle rows each made when first read, since numpy's cost per call
+outweighs its cost per triangle there; a longer one with numpy over the
+arrays.  The slab test runs in Python floats over the box's survivors
+either way, so both paths keep the same triangles.
 A world can be built from such a block alone; it then makes each
 :class:`Triangle` only when a sweep first reaches it.
 """
@@ -62,6 +68,16 @@ SLAB_MARGIN = 1.0 + SWEEP_BOX_SLACK
 # _sorted_cells); below it, numpy's cost per call outweighs the Python
 # loop's per entry.
 SORTED_FILL_ENTRIES = 2048
+
+# A sweep's grid answer of at most this many triangles is box-tested in
+# Python floats (see World.sweep_indices), a longer one with numpy.  On a
+# 2-core host, over a 20,000-triangle heightfield's sweeps, the loop beat
+# numpy up to about 50 triangles once its rows existed (10 against 15 us at
+# 25 to 32), but each row costs about 1 us and 0.4 KB to make, and with
+# fresh rows numpy won from 25 triangles up.  At 32, 99.5 % of the
+# 40-triangle soups' queries and 80 % of a 3,000-triangle soup's take the
+# loop, and the heightfield's (median 90 triangles) keep numpy.
+SCALAR_FILTER_CANDIDATES = 32
 
 Bounds = tuple[Vec3, Vec3]
 
@@ -143,10 +159,12 @@ class World:
     so one ``<=`` against ``(hi, -lo)`` of a query box is the inclusive
     overlap test.  Column ``i`` of ``_planes`` is ``(n, -n.a)``, so
     ``(p, 1)`` times it is the signed distance of ``p`` from the plane.
-    Row ``i`` of ``vertices`` is triangle ``i``'s ``(a, b, c)``.
+    Row ``i`` of ``vertices`` is triangle ``i``'s ``(a, b, c)``.  Entry
+    ``i`` of ``_rows`` is ``None`` or triangle ``i``'s box and plane as
+    Python floats (see ``_row``).
     """
 
-    __slots__ = ("triangles", "vertices", "_cell_size", "_cells", "_boxes", "_planes")
+    __slots__ = ("triangles", "vertices", "_cell_size", "_cells", "_boxes", "_planes", "_rows")
 
     def __init__(self, triangles: Sequence[Triangle], vertices: np.ndarray, cell_size: float,
                  cells: dict[tuple[int, int, int], list[int]],
@@ -157,6 +175,9 @@ class World:
         self._cells = cells
         self._boxes = boxes
         self._planes = planes
+        # Each triangle's _row, made when the scalar filter first reads it.
+        # Concurrent sweeps may both make one; either copy is the same.
+        self._rows: list[tuple[float, ...] | None] = [None] * boxes.shape[1]
 
     @property
     def cell_size(self) -> float:
@@ -198,6 +219,12 @@ class World:
         world space (positive radii keep min and max in order), and there
         the plane ``n.x = n.a`` is ``(n*r).p = n.a``, so the margin is
         scaled by ``|n*r|``.
+
+        A grid answer of at most ``SCALAR_FILTER_CANDIDATES`` triangles is
+        box-tested in a Python loop over per-triangle rows, a longer one
+        with numpy over the world's arrays; both tests are the same
+        inclusive comparisons.  The slab test then runs in Python floats
+        over the box's survivors (:func:`_slab_filter`) on either path.
         """
         pad = 1.0 + SWEEP_BOX_SLACK
         lo = (min(start[0], end[0]) - pad, min(start[1], end[1]) - pad,
@@ -208,23 +235,31 @@ class World:
             rx, ry, rz = radii
             lo = (lo[0] * rx, lo[1] * ry, lo[2] * rz)
             hi = (hi[0] * rx, hi[1] * ry, hi[2] * rz)
-        bounds = (lo, hi)
-        found = self.query_candidates(bounds)
-        if not found:
-            return found
-        found = np.fromiter(found, dtype=np.intp, count=len(found))
-        boxes = self._boxes.take(found, axis=1)
-        planes = self._planes.take(found, axis=1)
-        margin = SLAB_MARGIN
-        if radii is not None:
             start = (start[0] * rx, start[1] * ry, start[2] * rz)
             end = (end[0] * rx, end[1] * ry, end[2] * rz)
-            margin = SLAB_MARGIN * np.sqrt(np.dot((rx * rx, ry * ry, rz * rz), planes[:3] ** 2))
-        dist = np.dot(((*start, 1.0), (*end, 1.0)), planes)
-        keep = ((boxes <= _overlap_column(bounds)).all(axis=0)
-                & (np.minimum(dist[0], dist[1]) <= margin)
-                & (np.maximum(dist[0], dist[1]) >= -margin))
-        return found[keep].tolist()
+        found = self.query_candidates((lo, hi))
+        if len(found) > SCALAR_FILTER_CANDIDATES:
+            found = np.fromiter(found, dtype=np.intp, count=len(found))
+            found = found[(self._boxes.take(found, axis=1) <= _overlap_column((lo, hi))).all(axis=0)]
+            return _slab_filter(zip(found.tolist(), *self._planes.take(found, axis=1).tolist()),
+                                start, end, radii)
+        lx, ly, lz = lo
+        hx, hy, hz = hi
+        rows = self._rows
+        inside = []
+        for index in found:
+            row = rows[index]
+            if row is None:
+                row = rows[index] = self._row(index)
+            x0, y0, z0, x1, y1, z1, nx, ny, nz, d = row
+            if x0 <= hx and y0 <= hy and z0 <= hz and x1 >= lx and y1 >= ly and z1 >= lz:
+                inside.append((index, nx, ny, nz, d))
+        return _slab_filter(inside, start, end, radii)
+
+    def _row(self, index: int) -> tuple[float, ...]:
+        """Triangle *index*'s box and plane as floats: ``(lo, hi, n, -n.a)``."""
+        x0, y0, z0, x1, y1, z1 = self._boxes[:, index].tolist()
+        return (x0, y0, z0, -x1, -y1, -z1, *self._planes[:, index].tolist())
 
     def candidates(self, start: Vec3, end: Vec3) -> list[tuple[int, Triangle]]:
         """``(index, triangle)`` pairs for ``sweep_indices(start, end)``."""
@@ -234,6 +269,30 @@ class World:
     def brute_force_indices(self, bounds: Bounds) -> list[int]:
         """Exact AABB-overlap scan of every triangle; the grid-free reference."""
         return np.flatnonzero((self._boxes <= _overlap_column(bounds)).all(axis=0)).tolist()
+
+
+def _slab_filter(planes, start: Vec3, end: Vec3, radii: Vec3 | None) -> list[int]:
+    """The indices of ``(index, nx, ny, nz, d)`` *planes* whose slab the sweep meets.
+
+    The sweep is dropped from a plane only when both endpoints (in world
+    space) lie farther than the margin from it on the same side.  Every
+    distance is ``((nx*x + ny*y) + nz*z) + d`` in Python floats.
+    """
+    sx, sy, sz = start
+    ex, ey, ez = end
+    margin = SLAB_MARGIN
+    kept = []
+    for index, nx, ny, nz, d in planes:
+        if radii is not None:
+            wx, wy, wz = nx * radii[0], ny * radii[1], nz * radii[2]
+            margin = SLAB_MARGIN * math.sqrt(wx * wx + wy * wy + wz * wz)
+        d0 = nx * sx + ny * sy + nz * sz + d
+        d1 = nx * ex + ny * ey + nz * ez + d
+        # min(d0, d1) <= margin and max(d0, d1) >= -margin: the distances
+        # are finite, as the world's planes and the sweep are.
+        if (d0 <= margin or d1 <= margin) and (d0 >= -margin or d1 >= -margin):
+            kept.append(index)
+    return kept
 
 
 def _sorted_cells(lo: np.ndarray, hi: np.ndarray, size: float) -> dict | None:

@@ -120,6 +120,15 @@ def test_verify_subcommand_passes(verify_run):
     assert "10/10 checks passed" in out
 
 
+def test_verify_without_trials_errors(capsys):
+    # No fuzz frames would pass the corpus checks vacuously.
+    for trials in ("0", "-3"):
+        assert main(["verify", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: verify needs at least one trial, got {trials}\n"
+
+
 def test_module_entry_point_smoke():
     # The child imports the same package as this process, installed or not.
     package_root = str(Path(sweepslide.__file__).resolve().parent.parent)

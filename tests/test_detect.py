@@ -80,10 +80,15 @@ def test_parallel_inside_slab_skips_face():
 
 
 def test_embedded_start_reports_t_zero():
-    hit = sweep_unit_sphere_triangle((0.0, 0.0, 0.5), (1.0, 0.0, 0.0), BIG_FLOOR)
-    assert hit is not None
-    assert hit.t == 0.0
-    assert hit.contact_point == (0.0, 0.0, 0.0)
+    # Half a unit above the floor: motion that closes in on it touches at
+    # once, at the nearest point; motion along it or away touches nothing.
+    for vel in ((0.0, 0.0, -1.0), (1.0, 0.0, -0.1), (0.0, 0.0, -1e-9)):
+        hit = sweep_unit_sphere_triangle((0.0, 0.0, 0.5), vel, BIG_FLOOR)
+        assert hit is not None, vel
+        assert hit.t == 0.0
+        assert hit.contact_point == (0.0, 0.0, 0.0)
+    for vel in ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.2), (0.0, 0.0, 0.0)):
+        assert sweep_unit_sphere_triangle((0.0, 0.0, 0.5), vel, BIG_FLOOR) is None, vel
 
 
 def test_point_in_triangle_edge_tolerance():
@@ -273,7 +278,8 @@ def _ref_closest_point(p, tri):
 
 def _ref_sweep(source, vel, tri):
     nearest = _ref_closest_point(source, tri)
-    if norm(sub(source, nearest)) < 1.0:
+    offset = sub(source, nearest)
+    if norm(offset) < 1.0 and dot(offset, vel) < 0.0:
         return SweepHit(0.0, nearest)
     vel_sq = dot(vel, vel)
     if vel_sq < 1e-24:

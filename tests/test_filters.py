@@ -12,8 +12,8 @@ import random
 
 import pytest
 
-from sweepslide.core import Triangle, add, sub
-from sweepslide.detect import check_collision, sweep_unit_sphere_triangle
+from sweepslide.core import Triangle, add, distance, sub
+from sweepslide.detect import check_collision, closest_point_on_triangle, sweep_unit_sphere_triangle
 from sweepslide.ellipsoid import EllipsoidRadii, EllipsoidWorldView, triangle_to_sphere_space
 from sweepslide.mesh import builtin_mesh
 from sweepslide.world import SLAB_MARGIN, build_world
@@ -171,12 +171,16 @@ def test_starts_at_clearance_one(radii):
 def test_zero_velocity(radii):
     rng = random.Random(47)
     world = build_world(builtin_mesh("random_soup", n=60, seed=2, extent=5.0))
-    touching = 0
+    sphere_tris = [triangle_to_sphere_space(t, radii) for t in world.triangles]
+    embedded = 0
     for _ in range(200):
         source = tuple(rng.uniform(-6.0, 6.0) for _ in range(3))
-        touching += _assert_same_as_scan(world, radii, source, (0.0, 0.0, 0.0)) is not None
-    # Starts closer than one unit report t = 0; they must survive too.
-    assert touching >= 10
+        assert _assert_same_as_scan(world, radii, source, (0.0, 0.0, 0.0)) is None
+        embedded += any(distance(source, closest_point_on_triangle(source, t)) < 1.0
+                        for t in sphere_tris)
+    # A start closer than one unit that does not move closes in on nothing,
+    # so it touches nothing either.
+    assert embedded >= 10
 
 
 def test_filters_drop_box_misses_and_slab_clears():

@@ -3,7 +3,8 @@
 Each narrowphase feature reports only the crossing where its distance
 falls to one unit, so a sphere resting on the mesh can leave it; a start
 that rounds to just inside a feature's shell and closes in touches at
-``t = 0`` instead of passing through.
+``t = 0`` instead of passing through, and one whose distance rounds below
+one unit but that moves away touches nothing.
 """
 
 import math
@@ -24,26 +25,34 @@ from sweepslide.core import (
     scale,
     sub,
 )
+from sweepslide.ellipsoid import (
+    EllipsoidRadii,
+    EllipsoidWorldView,
+    from_sphere_space,
+    triangle_to_sphere_space,
+)
 from sweepslide.mesh import builtin_mesh
-from sweepslide.response import sphere_sweep
+from sweepslide.response import MIN_VELOCITY, sphere_sweep
 from sweepslide.scenario import min_distance_to_mesh
-from sweepslide.world import build_world
+from sweepslide.world import SCALAR_FILTER_CANDIDATES, build_world
 
 
 def _clearance(world, pos):
     return min_distance_to_mesh(pos, world.vertices)
 
 
-def _tessellated_floor(n=40, cell=1.0):
-    """An ``n`` by ``n`` grid of unit squares at z = 0, two triangles each."""
+def _tessellated_floor(n=40, cell=1.0, height=lambda x, y: 0.0):
+    """An ``n`` by ``n`` grid of unit squares at z = height(x, y), two triangles each."""
     tris = []
     lo = -0.5 * n * cell
     for i in range(n):
         for j in range(n):
             x0, y0 = lo + i * cell, lo + j * cell
             x1, y1 = x0 + cell, y0 + cell
-            tris.append(Triangle((x0, y0, 0.0), (x1, y0, 0.0), (x1, y1, 0.0)))
-            tris.append(Triangle((x0, y0, 0.0), (x1, y1, 0.0), (x0, y1, 0.0)))
+            a, b = (x0, y0, height(x0, y0)), (x1, y0, height(x1, y0))
+            c, d = (x1, y1, height(x1, y1)), (x0, y1, height(x0, y1))
+            tris.append(Triangle(a, b, c))
+            tris.append(Triangle(a, c, d))
     return tris
 
 
@@ -93,6 +102,29 @@ def test_no_walker_stops_on_a_flat_floor(tris):
             assert moved >= 0.9 * speed, (k, frame, pos)
             assert res.final_pos[2] >= 1.0 - 1e-6
             pos = res.final_pos
+
+
+def test_no_walker_stops_on_a_tessellated_ramp():
+    # Walkers spawned at exactly one radius along the normal of the ramp
+    # z = 0.3x + 0.2y, made of 3,200 small triangles.  For some, the
+    # closest-point distance rounds to just below 1; a narrowphase that
+    # took any such start as a contact, moving away or not, stopped them
+    # in every frame with 3 iterations.
+    world = build_world(_tessellated_floor(height=lambda x, y: 0.3 * x + 0.2 * y))
+    normal = normalize((-0.3, -0.2, 1.0))
+    rng = random.Random(0)
+    for k in range(60):
+        x, y = rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0)
+        pos = add((x, y, 0.3 * x + 0.2 * y), normal)
+        gravity = rng.uniform(0.05, 0.5)
+        speed = rng.uniform(0.1, 0.37)
+        heading = rng.uniform(0.0, 2.0 * math.pi)
+        vel = (speed * math.cos(heading), speed * math.sin(heading), -gravity)
+        for frame in range(30):
+            res = sphere_sweep(world, pos, vel)
+            assert res.final_pos != pos, (k, frame, pos)
+            pos = res.final_pos
+        assert _clearance(world, pos) >= 1.0 - 1e-6
 
 
 def test_a_rounded_touching_start_cannot_tunnel():
@@ -179,3 +211,46 @@ def test_touching_starts_keep_the_guarantees(verts, offset, s, f, phi, ulps, spe
             res = sphere_sweep(world, start, vel)
             assert res.iterations <= 3
             assert _clearance(world, res.final_pos) >= 1.0 - 1e-6, (start, vel)
+
+
+# Each radius 1e-3 to 1: axis ratios from 1e-3 to 1e3, and world-space
+# triangles no larger than their sphere-space ones, so the grid takes them.
+_radius = st.floats(-3.0, 0.0).map(lambda e: 10.0 ** e)
+
+
+@given(st.tuples(*[st.tuples(_coord, _coord, _coord)] * 3),
+       st.tuples(_offset, _offset, _offset),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, math.pi),
+       _ulps, st.floats(0.01, 2.0), st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+       st.tuples(_radius, _radius, _radius))
+@settings(max_examples=150, deadline=None)
+def test_touching_starts_keep_the_guarantees_through_a_view(verts, offset, s, f, phi, ulps,
+                                                            speed, drift, radii):
+    # The same starts as above, one unit off a feature of the sphere-space
+    # triangle an ellipsoid's view sees, through a world of that triangle
+    # alone (whose sweeps the world filters in Python floats) and a world
+    # of enough copies of it that they take the numpy filter.
+    radii = EllipsoidRadii(*radii)
+    try:
+        world_tri = Triangle(*(from_sphere_space(add(v, offset), radii) for v in verts))
+        tri = triangle_to_sphere_space(world_tri, radii)
+    except DegenerateTriangleError:
+        assume(False)  # radii that flatten the triangle one way or the other
+    n = tri.normal
+    assume(max(abs(n[0]), abs(n[1]), abs(n[2])) < 0.999)
+    views = [EllipsoidWorldView(build_world([world_tri] * copies), radii)
+             for copies in (1, SCALAR_FILTER_CANDIDATES + 1)]
+    sphere_vertices = views[0].world.vertices / radii.as_tuple()
+    for start, out in _touching_starts(tri, s, f, phi):
+        start = _nudged(start, ulps)
+        for sign in (1.0, -1.0):
+            vel = add(scale(out, sign * speed), drift)
+            res = sphere_sweep(views[0], start, vel)
+            # Deterministic, and the same frame whichever filter ran.
+            assert all(sphere_sweep(view, start, vel) == res for view in views)
+            assert res.iterations <= 3
+            assert min_distance_to_mesh(res.final_pos, sphere_vertices) >= 1.0 - 1e-6, (start, vel)
+            if dot(vel, out) > 0.0 and math.sqrt(dot(vel, vel)) > MIN_VELOCITY:
+                # Moving away from the nearest point of a convex triangle:
+                # nothing is touched, and the whole motion is made.
+                assert res.iterations == 0 and res.final_pos == add(start, vel), (start, vel)

@@ -1,5 +1,8 @@
 import math
 import random
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from sweepslide.world import (
     CELL_SIZE,
     MAX_CELL_ENTRIES,
     MAX_CELLS_PER_TRIANGLE,
+    SCALAR_FILTER_CANDIDATES,
     SLAB_MARGIN,
     SWEEP_BOX_SLACK,
     build_world,
@@ -231,14 +235,115 @@ def test_a_long_strip_fills_a_few_cells():
     assert world.sweep_indices((2e6, 0.5, 3.0), (2e6 + 1.0, 0.5, 3.0)) == []
 
 
-def _exact_scan(world, start, end):
-    """``sweep_indices``' two filters applied to every triangle, with no grid."""
+def _exact_scan(world, start, end, radii=None):
+    """``sweep_indices``' two filters applied to every triangle, with no grid.
+
+    Each plane distance is ``((nx*x + ny*y) + nz*z) + d`` and each margin
+    ``SLAB_MARGIN * |n*r|``, elementwise in that order.
+    """
     pad = 1.0 + SWEEP_BOX_SLACK
     lo = tuple(min(s, e) - pad for s, e in zip(start, end))
     hi = tuple(max(s, e) + pad for s, e in zip(start, end))
-    dist = np.dot(((*start, 1.0), (*end, 1.0)), world._planes)
-    slab = (np.minimum(dist[0], dist[1]) <= SLAB_MARGIN) & (np.maximum(dist[0], dist[1]) >= -SLAB_MARGIN)
+    nx, ny, nz, d = world._planes
+    margin = SLAB_MARGIN
+    if radii is not None:
+        lo, hi, start, end = (tuple(v * r for v, r in zip(p, radii)) for p in (lo, hi, start, end))
+        wx, wy, wz = nx * radii[0], ny * radii[1], nz * radii[2]
+        margin = SLAB_MARGIN * np.sqrt(wx * wx + wy * wy + wz * wz)
+    d0 = nx * start[0] + ny * start[1] + nz * start[2] + d
+    d1 = nx * end[0] + ny * end[1] + nz * end[2] + d
+    slab = (np.minimum(d0, d1) <= margin) & (np.maximum(d0, d1) >= -margin)
     return [i for i in world.brute_force_indices((lo, hi)) if slab[i]]
+
+
+@st.composite
+def _one_cell_sweeps(draw):
+    """A world whose triangles all lie in one grid cell, and sweeps whose
+    grid answer is that cell: every one of its triangles, however many."""
+    count = draw(st.sampled_from((1, 2, SCALAR_FILTER_CANDIDATES - 1, SCALAR_FILTER_CANDIDATES,
+                                  SCALAR_FILTER_CANDIDATES + 1, 2 * SCALAR_FILTER_CANDIDATES)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    tris = []
+    while len(tris) < count:
+        try:
+            tris.append(Triangle(*(tuple(rng.uniform(0.05, 3.95) for _ in range(3))
+                                   for _ in range(3))))
+        except DegenerateTriangleError:
+            pass
+    radii = draw(st.none() | st.tuples(*[st.floats(0.2, 5.0)] * 3))
+    sweeps = []
+    for _ in range(8):
+        # A world-space start in the cell keeps the cell in the sweep's box.
+        start = tuple(rng.uniform(0.0, 4.0) for _ in range(3))
+        if radii is not None:
+            start = tuple(v / r for v, r in zip(start, radii))
+        sweeps.append((start, tuple(v + rng.uniform(-1.5, 1.5) for v in start)))
+    return tris, radii, sweeps
+
+
+@given(_one_cell_sweeps())
+@settings(max_examples=150, deadline=None)
+def test_both_filter_paths_are_the_exact_scan(case):
+    tris, radii, sweeps = case
+    world = build_world(tris)
+    assert len(world._cells) == 1
+    for start, end in sweeps:
+        want = _exact_scan(world, start, end, radii)
+        # The path the world picks for this many triangles, then each path.
+        assert world.sweep_indices(start, end, radii) == want
+        for limit in (-1, len(tris)):
+            with mock.patch.object(world_module, "SCALAR_FILTER_CANDIDATES", limit):
+                assert world.sweep_indices(start, end, radii) == want, limit
+
+
+def test_scalar_rows_are_made_once_when_first_read():
+    world = build_world(builtin_mesh("random_soup", n=200, seed=4, extent=15.0))
+    assert world._rows == [None] * 200
+    # Across triangle 0 through its centroid, from one side to the other.
+    centroid = world.vertices[0].mean(axis=0)
+    normal = np.array(world.triangles[0].normal)
+    start, end = tuple((centroid + normal).tolist()), tuple((centroid - normal).tolist())
+    found = world.sweep_indices(start, end)
+    made = [i for i, row in enumerate(world._rows) if row is not None]
+    assert found and set(found) <= set(made)
+    assert len(made) <= SCALAR_FILTER_CANDIDATES
+    row = world._rows[made[0]]
+    assert world.sweep_indices(start, end) == found and world._rows[made[0]] is row
+    lo, hi = world.vertices[made[0]].min(axis=0), world.vertices[made[0]].max(axis=0)
+    assert row == (*lo.tolist(), *hi.tolist(), *world._planes[:, made[0]].tolist())
+
+
+def test_concurrent_sweeps_fill_rows_benignly():
+    # Threads sweeping one fresh world make its rows as they go, some
+    # twice; every answer is still the one a serial sweep gives.
+    tris = builtin_mesh("random_soup", n=400, seed=9, extent=12.0)
+    rng = random.Random(6)
+    sweeps = []
+    for _ in range(300):
+        start = tuple(rng.uniform(-12.0, 12.0) for _ in range(3))
+        sweeps.append((start, tuple(v + rng.uniform(-2.0, 2.0) for v in start)))
+    want = [build_world(tris).sweep_indices(s, e) for s, e in sweeps]
+    world = build_world(tris)
+    results = [None] * 4
+
+    def work(k):
+        order = list(range(len(sweeps)))
+        random.Random(k).shuffle(order)
+        results[k] = {i: world.sweep_indices(*sweeps[i]) for i in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert [got[i] for i in range(len(sweeps))] == want
 
 
 @st.composite
