@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -70,6 +71,46 @@ def test_run_output_deterministic(tmp_path):
     assert main(["run", str(path), "--out", str(a)]) == 0
     assert main(["run", str(path), "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of each report `sweepslide builtin KIND --algo both --format FMT
+# --out KIND.FMT` writes.  A change that moves any of them must say why.
+BUILTIN_REPORT_DIGESTS = {
+    "acute_corner.improved.csv": "445c9a0f2483515c686bcdb8f47ce659be750095e273166693f808f01fa1bf9b",
+    "acute_corner.improved.json": "60e72052b98e8b9d7ade5c72d59cc861f0e2085399db29d16b20539632a97b33",
+    "acute_corner.legacy.csv": "66ef034f77377f1286a7728fc8aedfa343e0925068a868b8b7eb598a1b1bba7a",
+    "acute_corner.legacy.json": "aea45804b5de78f44f8dfc0550849b86b135eacb37a758c80cca838f11327cdc",
+    "box_room.improved.csv": "015ce74e5dcb5406fc8222ef5a820906adcf836dab59a5cd910038ee3a486d79",
+    "box_room.improved.json": "5b1fa515e76466fc70f11c4725a349c3b40a02664c905e0f2738a70b62410536",
+    "box_room.legacy.csv": "b1f3ec3f222b9c46d10f0c9a9fa846eaadc20feaa1365963e031a7f68256a3c6",
+    "box_room.legacy.json": "b79f38801bea7027ca3181ccfa7b817b707d53f978c5f8b9955f7270be50901b",
+    "crease.improved.csv": "df993284aab1c2ba242e3c4bf28ecb4b4b7d70cdf1d9850273eb233babbe3bbf",
+    "crease.improved.json": "7aaf2780ac27eb5faecdbc9dcfac277102c608b692a0610baf8c8e9c0fbbe0e9",
+    "crease.legacy.csv": "d0fa8b68747db902a21c2fd1a2c06f82376471e57ff09924d73c53b682f78c7b",
+    "crease.legacy.json": "cff30885e182170555400d03963d40b8df3515883791b90cb3472ab5306f6c68",
+    "floor.improved.csv": "f6965130b2023b970db0123d8c3c107bb04e04757aa1723b25226ce7dbb88921",
+    "floor.improved.json": "d588c37eacfaca049ac8800deca5dacf7c7de3e40bc8d7661af6a689a79cf449",
+    "floor.legacy.csv": "f6965130b2023b970db0123d8c3c107bb04e04757aa1723b25226ce7dbb88921",
+    "floor.legacy.json": "d588c37eacfaca049ac8800deca5dacf7c7de3e40bc8d7661af6a689a79cf449",
+    "obtuse_corner.improved.csv": "365feba65dfbc70f05c6435bd4b572f675ca39a2a028bd0bd6bc4bc9163a25bf",
+    "obtuse_corner.improved.json": "e252409f377b5b633af08244173eacee130ada917cab649c7a503714c1f845d0",
+    "obtuse_corner.legacy.csv": "52e508d97454b06454ce989260f3d296ca3314f6c4f4172f5fb0454ee6a2ffdf",
+    "obtuse_corner.legacy.json": "9b32a552c9a554fa5352347863032e6701bfaefa5d2d17b88ca0aae9401161de",
+    "random_soup.improved.csv": "3f6446cbaf3763168f744611905142653e1700453eb2dd682ff3edaef68351cf",
+    "random_soup.improved.json": "ff50265036f2dfd7f57309c4a041edc875408dfdf1f7ad29021838334b2fdc33",
+    "random_soup.legacy.csv": "738b8912b79898227e0f36f5430c15102ed373d44154c0fde3edb46f3a38e3d2",
+    "random_soup.legacy.json": "d1e8ab315fdd278a8dc69ce93f37a70925c49dc6c301068ec7df6a609e44eca4",
+}
+
+
+def test_builtin_reports_are_byte_identical(tmp_path):
+    for kind in sorted({name.split(".")[0] for name in BUILTIN_REPORT_DIGESTS}):
+        for fmt in ("csv", "json"):
+            assert main(["builtin", kind, "--algo", "both", "--format", fmt,
+                         "--out", str(tmp_path / f"{kind}.{fmt}")]) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert written == BUILTIN_REPORT_DIGESTS
 
 
 def test_unknown_builtin_errors(capsys):

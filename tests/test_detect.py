@@ -11,6 +11,7 @@ from sweepslide.core import (
     DegenerateTriangleError,
     Triangle,
     add,
+    cross,
     distance,
     dot,
     norm,
@@ -20,6 +21,7 @@ from sweepslide.core import (
 )
 from sweepslide.detect import (
     BARYCENTRIC_TOLERANCE,
+    REACH_MARGIN,
     SweepHit,
     check_collision,
     closest_point_on_triangle,
@@ -468,3 +470,79 @@ def test_check_collision_is_bit_identical_to_the_helper_formulation(cases, dupli
 ])
 def test_narrowphase_edge_cases_are_bit_identical(source, vel):
     assert sweep_unit_sphere_triangle(source, vel, BIG_FLOOR) == _ref_sweep(source, vel, BIG_FLOOR)
+
+
+# --- the reach cull ---
+
+
+def _culled(source, vel, tri):
+    """Whether the reach cull drops this sweep: the distance's tangent at the
+    start, ``gap + t * (source - nearest) . vel / gap``, or ``gap`` for motion
+    that does not close in, stays farther than one unit over the frame, plus
+    REACH_MARGIN times the size over the squared sine of the angle at ``a``."""
+    offset = sub(source, closest_point_on_triangle(source, tri))
+    gap = norm(offset)
+    closing = dot(offset, vel)
+    clear = gap - 1.0 + (closing / gap if closing < 0.0 else 0.0)
+    ab, ac = sub(tri.b, tri.a), sub(tri.c, tri.a)
+    size = math.sqrt(1.0 + dot(vel, vel) + dot(source, source) + dot(tri.a, tri.a)
+                     + dot(ab, ab) + dot(ac, ac))
+    sine_sq = dot(cross(ab, ac), cross(ab, ac)) / (dot(ab, ab) * dot(ac, ac))
+    return (not (gap < 1.0 and closing < 0.0) and dot(vel, vel) >= 1e-24
+            and clear > REACH_MARGIN * size / sine_sq)
+
+
+@st.composite
+def _head_on(draw):
+    """``(source, vel, triangle)``: a start ``1 + L`` from its nearest point on
+    one of ``_sweeps()``'s triangles (offsets and radii included), closing in
+    on it by ``L * (1 + delta)`` and, optionally, sliding sideways.  The
+    tangent bound then reaches one unit at ``t = 1 / (1 + delta)``, just before
+    or just after the frame ends, and first contact is due there when the
+    nearest point lies inside the face (and the slide stays over it) or the
+    motion is head-on."""
+    source, _, tri = draw(_sweeps(motions=("zero",)))
+    nearest = closest_point_on_triangle(source, tri)
+    away = sub(source, nearest)
+    gap = norm(away)
+    direction = scale(away, 1.0 / gap) if gap > 0.0 else tri.normal
+    length = draw(st.floats(0.05, 50.0))
+    delta = draw(st.floats(-1e-6, 1e-6))
+    vel = scale(direction, -length * (1.0 + delta))
+    side = draw(st.sampled_from((None, "edge", "random")))
+    if side is not None:
+        w = sub(tri.b, tri.a) if side == "edge" else draw(_vec)
+        w = sub(w, scale(direction, dot(w, direction)))  # perpendicular to the closing motion
+        vel = add(vel, scale(w, draw(st.floats(0.0, 2.0))))
+    return add(nearest, scale(direction, 1.0 + length)), vel, tri
+
+
+@given(_head_on())
+@settings(max_examples=600, deadline=None)
+def test_reach_cull_is_exact_at_its_tight_case(case):
+    # The tangent bound meets one unit within about 1e-6 of t = 1, on
+    # either side, so a cull that fires a hair too early drops a real contact.
+    source, vel, tri = case
+    expected = _ref_sweep(source, vel, tri)
+    assert sweep_unit_sphere_triangle(source, vel, tri) == expected
+    if _culled(source, vel, tri):
+        assert expected is None
+
+
+def test_reach_cull_skips_the_feature_tests(monkeypatch):
+    # Nine units from the triangle and moving about one: out of reach.  The
+    # sweep still passes half a unit from the line through edge ab, so
+    # without the cull that edge's quadratic has roots to find.
+    tri = Triangle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    source, vel = (10.0, 0.0, 0.5), (1.0, 0.1, 0.0)
+    assert _culled(source, vel, tri)
+    calls = []
+    original = sweepslide.detect.robust_quadratic_roots
+
+    def counted(a, b, c):
+        calls.append((a, b, c))
+        return original(a, b, c)
+
+    monkeypatch.setattr(sweepslide.detect, "robust_quadratic_roots", counted)
+    assert sweep_unit_sphere_triangle(source, vel, tri) is None
+    assert calls == []
