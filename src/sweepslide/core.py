@@ -44,6 +44,9 @@ Vec3 = tuple[float, float, float]
 DEGENERATE_LENGTH = 1e-12
 # How far a stored "unit" vector may drift from length 1.
 UNIT_TOLERANCE = 1e-9
+# The normal float range, outside which a triangle's squares lose their
+# precision (see _usable_squares).
+_FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
 
 
 class DegenerateVectorError(ValueError):
@@ -148,6 +151,23 @@ def signed_plane_distance(plane: Plane, point: Vec3) -> float:
     return dot(plane.normal, sub(point, plane.origin))
 
 
+def _usable_squares(ab2, ac2, bc, normal) -> bool:
+    """Whether a triangle whose squares leave the normal float range can still be used.
+
+    Where ``|ab|^2 |ac|^2`` falls below the smallest normal float, the
+    collinearity test compares with a rounded, or zero, bound: an edge's
+    squared length can underflow to 0, which the narrowphase divides by,
+    and ``|ab x ac|^2`` can lose the precision that makes the normal unit
+    length.  Where ``|ab x ac|^2`` overflows, the normal comes out 0 or
+    NaN.  Usable means three nonzero squared edge lengths and a normal
+    within ``UNIT_TOLERANCE`` of unit length.  Elementwise, so that it
+    serves :func:`triangle_normals` too.
+    """
+    bc2 = bc[0] * bc[0] + bc[1] * bc[1] + bc[2] * bc[2]
+    length = np.sqrt(normal[0] * normal[0] + normal[1] * normal[1] + normal[2] * normal[2])
+    return (ab2 > 0.0) & (ac2 > 0.0) & (bc2 > 0.0) & (abs(length - 1.0) <= UNIT_TOLERANCE)
+
+
 @dataclass(frozen=True)
 class Triangle:
     """A collision triangle with its unit normal cached at construction.
@@ -156,8 +176,12 @@ class Triangle:
     round-off drift that would come with it.  Construction rejects
     collinear vertices: the sine of the angle at ``a``,
     ``|ab x ac| / (|ab| |ac|)``, must exceed ``DEGENERATE_LENGTH``.  The
-    test is relative, so scaling a triangle never makes it degenerate; a
-    non-finite vertex fails it too.
+    test is relative, so scaling a triangle never makes it degenerate
+    until its squares leave the float range; a non-finite vertex fails it
+    too.  Where ``|ab|^2 |ac|^2`` is below the smallest normal float or
+    ``|ab x ac|^2`` overflows, it also rejects a triangle with an edge whose
+    squared length is 0 or a normal off unit length by more than
+    ``UNIT_TOLERANCE`` (see :func:`_usable_squares`).
     """
 
     a: Vec3
@@ -174,15 +198,25 @@ class Triangle:
         ny = abz * acx - abx * acz
         nz = abx * acy - aby * acx
         nn = nx * nx + ny * ny + nz * nz
+        ab2 = abx * abx + aby * aby + abz * abz
+        ac2 = acx * acx + acy * acy + acz * acz
+        bound = DEGENERATE_LENGTH * DEGENERATE_LENGTH * ab2 * ac2
         # Squares on both sides: no square root for the test.  Written as
         # "not above" so a NaN, from a non-finite vertex, is rejected too.
-        if not nn > (DEGENERATE_LENGTH * DEGENERATE_LENGTH
-                     * (abx * abx + aby * aby + abz * abz) * (acx * acx + acy * acy + acz * acz)):
+        if not nn > bound:
             raise DegenerateTriangleError(
                 f"collinear or non-finite triangle vertices: {self.a!r}, {self.b!r}, {self.c!r}"
             )
         m = math.sqrt(nn)
-        object.__setattr__(self, "normal", (nx / m, ny / m, nz / m))
+        normal = (nx / m, ny / m, nz / m)
+        if not (bound >= _FLOAT_MIN and nn <= _FLOAT_MAX) and not _usable_squares(
+                ab2, ac2, (self.c[0] - self.b[0], self.c[1] - self.b[1], self.c[2] - self.b[2]),
+                normal):
+            raise DegenerateTriangleError(
+                f"triangle whose squares leave the float range: {self.a!r}, {self.b!r}, "
+                f"{self.c!r}"
+            )
+        object.__setattr__(self, "normal", normal)
 
     def vertices(self) -> tuple[Vec3, Vec3, Vec3]:
         return (self.a, self.b, self.c)
@@ -204,10 +238,14 @@ def triangle_normals(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ny = abz * acx - abx * acz
         nz = abx * acy - aby * acx
         nn = nx * nx + ny * ny + nz * nz
-        ok = nn > (DEGENERATE_LENGTH * DEGENERATE_LENGTH
-                   * (abx * abx + aby * aby + abz * abz) * (acx * acx + acy * acy + acz * acz))
+        ab2 = abx * abx + aby * aby + abz * abz
+        ac2 = acx * acx + acy * acy + acz * acz
+        bound = DEGENERATE_LENGTH * DEGENERATE_LENGTH * ab2 * ac2
         m = np.sqrt(nn)
-        return np.stack((nx / m, ny / m, nz / m), axis=1), ok
+        normal = (nx / m, ny / m, nz / m)
+        ok = (nn > bound) & (((bound >= _FLOAT_MIN) & (nn <= _FLOAT_MAX))
+                             | _usable_squares(ab2, ac2, (cx - bx, cy - by, cz - bz), normal))
+        return np.stack(normal, axis=1), ok
 
 
 def robust_quadratic_roots(a: float, b: float, c: float) -> tuple[float, float] | None:

@@ -101,7 +101,7 @@ def load_obj_vertices(path: str) -> np.ndarray:
         indices = [word.partition("/")[0] for word in indices]
     try:
         points = np.array(list(map(float, coords)), dtype=np.float64).reshape(-1, 3)
-        raw = np.array(list(map(int, indices)), dtype=np.int64)
+        raw = np.array(indices, dtype=np.int64)  # int() of each string
     except (ValueError, OverflowError):  # not a number, or an index past int64
         raise _first_error(path, lines) from None
     sizes = face_size - 1

@@ -6,11 +6,23 @@ response runs there, and the resulting center is scaled back for
 reporting.  Every frame also logs its exact center-to-mesh distance, so
 the broadphase path is audited by something that never uses it.  The
 audit runs once per scenario, after every stream's frames, on all of
-their end positions together (:func:`mesh_distances`): bounding spheres
-prune the triangles that cannot be nearest, and the same Voronoi
-evaluation as :func:`min_distance_to_mesh` runs on the surviving
-point-triangle pairs, batched across points, so each distance is the
-full scan's, bit for bit.
+their end positions together (:func:`mesh_distances`), and the start
+check is its one-point case (:func:`min_distance_to_mesh`).  Bounding
+spheres prune the triangles that cannot be nearest, and the Voronoi
+evaluation runs on the surviving point-triangle pairs, batched across
+points, so each distance is that of a scan of every triangle, bit for
+bit.
+
+A mesh of more than ``_BLOCK_ROWS`` (16,384) triangles gets a chunk level
+first: sorted by the grid cell of their centroids, its triangles are cut
+into runs of ``_RUN`` (32), each bounded by one sphere, and a point's
+triangle-level bound reads only the runs that can hold its nearest
+triangle.  On the benchmark's 20,000-triangle terrain that took the
+walker's start check from 7.4 to 2.6 ms and its end audit of 80 points
+from 19.7 to 5.4 ms (in-process medians; 2 cores, Python 3.11, numpy
+2.4).  A smaller mesh runs the triangle level alone: forced onto a
+40-triangle soup, the chunk level took its ``run_scenario`` from 1.2 to
+2.6 ms.
 """
 
 from __future__ import annotations
@@ -225,6 +237,10 @@ def builtin_scenario(kind: str, *, angle: float | None = None, frames: int | Non
 # has about this many point-triangle rows: the temporaries stay a few
 # hundred KB.
 _BLOCK_ROWS = 1 << 14
+# Triangles per run of the chunk level, which a mesh of more than
+# _BLOCK_ROWS triangles goes through: few enough that a run's sphere stays
+# close around its members, enough that a point tests 32 times fewer spheres.
+_RUN = 32
 # Point-triangle pairs per call of the Voronoi evaluation, across points:
 # few calls, and temporaries of a few tens of KB.
 _PAIR_ROWS = 1 << 10
@@ -296,60 +312,162 @@ def _triangle_distances(p: np.ndarray, tris: np.ndarray) -> np.ndarray:
 
 
 def min_distance_to_mesh(point: Vec3, tris: np.ndarray) -> float:
-    """Exact distance from *point* to the nearest triangle, all at once.
+    """The one-point audit: :func:`mesh_distances` of *point* alone.
 
-    Evaluates every triangle; used as the independent audit of whatever
-    the broadphase path did.
+    Exact distance from *point* to the nearest triangle, ``inf`` for an
+    empty mesh; used as the independent audit of whatever the broadphase
+    path did.
     """
-    if tris.shape[0] == 0:
-        return math.inf
-    return float(_triangle_distances(np.asarray(point, dtype=float), tris).min())
+    return float(mesh_distances([point], tris)[0])
 
 
 def _bounding_spheres(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each triangle's centroid and its largest vertex distance from it."""
-    centroids = tris.mean(axis=1)
-    radii = np.sqrt(((tris - centroids[:, None, :]) ** 2).sum(axis=2)).max(axis=1)
-    return centroids, radii
+    """Each triangle's centroid and its largest vertex distance from it.
+
+    The centroids are a ``(3, n)`` array, one row per axis.
+    """
+    a, b, c = tris.transpose(1, 2, 0).copy()
+    centroids = (a + b + c) / 3
+
+    def squared(vertex):
+        d = vertex - centroids
+        d *= d
+        return d[0] + d[1] + d[2]
+
+    return centroids, np.sqrt(np.maximum(np.maximum(squared(a), squared(b)), squared(c)))
+
+
+def _spread_bits(v: np.ndarray) -> np.ndarray:
+    """The low 10 bits of each entry, moved to every third bit."""
+    v = (v | (v << 16)) & 0x030000FF
+    v = (v | (v << 8)) & 0x0300F00F
+    v = (v | (v << 4)) & 0x030C30C3
+    return (v | (v << 2)) & 0x09249249
+
+
+def _runs(centroids: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chunk level: runs of ``_RUN`` triangles near each other, each in one sphere.
+
+    The triangles are sorted by the cell of their centroid, in Z-order, in
+    a grid of 1023 cubes along the widest side of the centroids' box, and
+    that order is cut into runs.  Returns each run's members as a row of
+    triangle indices (the last row filled up with the order's last), and
+    its sphere's centre, one row per axis, and radius: the mean of its
+    members' centroids and the largest ``|c - centre| + r`` over them, so
+    that the sphere holds each member's bounding sphere.
+    """
+    lo = centroids.min(axis=1, keepdims=True)
+    with np.errstate(all="ignore"):  # only the order depends on the cells
+        span = max(float((centroids.max(axis=1, keepdims=True) - lo).max()),
+                   np.finfo(float).tiny)
+        cells = ((centroids - lo) / span * 1023.0).astype(np.int64)
+    key = _spread_bits(cells[0]) | _spread_bits(cells[1]) << 1 | _spread_bits(cells[2]) << 2
+    order = np.argsort(key, kind="stable")
+    members = np.append(order, np.full(-len(order) % _RUN, order[-1]))
+    starts = np.arange(0, len(members), _RUN)
+    ordered = centroids[:, members]
+    centres = np.add.reduceat(ordered, starts, axis=1) / _RUN
+    d = ordered - np.repeat(centres, _RUN, axis=1)
+    reach = np.maximum.reduceat(np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+                                + radii[members], starts)
+    return members.reshape(-1, _RUN), centres, reach
+
+
+def _kept_pairs(block: np.ndarray, centroids: np.ndarray, radii: np.ndarray,
+                extent: float) -> tuple[np.ndarray, np.ndarray]:
+    """The triangle-level bound: the ``(row, column)`` pairs of *block* x the triangles it keeps.
+
+    A triangle's distance from ``p`` lies between ``|p - c| - r`` and
+    ``|p - c|``, so only a triangle whose lower bound reaches the smallest
+    upper bound (plus a rounding margin) can hold the minimum.
+    """
+    dx = block[:, 0:1] - centroids[0]
+    dy = block[:, 1:2] - centroids[1]
+    dz = block[:, 2:3] - centroids[2]
+    upper = np.sqrt(dx * dx + dy * dy + dz * dz)
+    nearest = upper.min(axis=1)
+    limit = nearest + _PRUNE_MARGIN * (nearest + np.abs(block).max(axis=1) + extent)
+    # Written as "not above" so a NaN bound keeps its triangle and the
+    # NaN reaches the result, as in the full scan.
+    return np.nonzero(~(upper - radii > limit[:, None]))
+
+
+def _sub_blocks(points: np.ndarray, centroids: np.ndarray, radii: np.ndarray, extent: float):
+    """The chunk level's ``(lo, hi, triangles)`` for each sub-block of *points*.
+
+    A point keeps the runs (:func:`_runs`) whose lower bound
+    ``|p - C| - R`` reaches the least ``|p - C| + R``, plus a rounding
+    margin; ``triangles`` holds, in ascending order, the members of every
+    run that a point of ``points[lo:hi]`` keeps.  A sub-block is the
+    longest stretch of points whose count times the members of their runs
+    stays within ``_BLOCK_ROWS``, or one point.
+    """
+    members, centres, reach = _runs(centroids, radii)
+    kept = np.zeros(len(radii), dtype=bool)
+    step = max(1, _BLOCK_ROWS // len(reach))
+    for lo in range(0, len(points), step):
+        block = points[lo:lo + step]
+        dx = block[:, 0:1] - centres[0]
+        dy = block[:, 1:2] - centres[1]
+        dz = block[:, 2:3] - centres[2]
+        d = np.sqrt(dx * dx + dy * dy + dz * dz)
+        least = (d + reach).min(axis=1)
+        # Twice the triangle level's margin: a triangle kept at the edge of
+        # its margin keeps its run through the rounding of the run bounds.
+        limit = least + 2.0 * _PRUNE_MARGIN * (least + np.abs(block).max(axis=1) + extent)
+        keep = ~(d - reach > limit[:, None])
+        start = 0
+        while start < len(block):
+            union = np.logical_or.accumulate(keep[start:], axis=0)
+            fits = np.arange(1, len(union) + 1) * union.sum(axis=1) * _RUN <= _BLOCK_ROWS
+            stop = start + max(1, int(fits.sum()))
+            kept[:] = False
+            kept[members[union[stop - start - 1]]] = True
+            yield lo + start, lo + stop, np.flatnonzero(kept)
+            start = stop
 
 
 def _pruned_pairs(points: np.ndarray, tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ``(point, triangle)`` index pairs that the bounds keep, as two arrays.
 
-    Ordered by point, with at least one pair for every point.  The bounds
-    are taken a block of points at a time.
+    Ordered by point, then by triangle, with at least one pair for every
+    point.  The triangle-level bound (:func:`_kept_pairs`) is taken a
+    block of points at a time.  A mesh of more than ``_BLOCK_ROWS``
+    triangles first goes through the chunk level (:func:`_sub_blocks`),
+    and the triangle level sees only the triangles of the runs it keeps.
+    A run's sphere holds its members' spheres, so the run of the nearest
+    centroid and the run of every triangle that the triangle level keeps
+    pass: the pairs are those of the triangle level over the whole mesh.
     """
     centroids, radii = _bounding_spheres(tris)
-    cx, cy, cz = (np.ascontiguousarray(axis) for axis in centroids.T)
     extent = np.abs(tris).max()
-    step = max(1, _BLOCK_ROWS // tris.shape[0])
+    if len(tris) <= _BLOCK_ROWS:
+        step = max(1, _BLOCK_ROWS // len(tris))
+        blocks = [(lo, lo + step, None) for lo in range(0, len(points), step)]
+    else:
+        blocks = _sub_blocks(points, centroids, radii, extent)
     rows, cols = [], []
-    for lo in range(0, len(points), step):
-        block = points[lo:lo + step]
-        dx = block[:, 0:1] - cx
-        dy = block[:, 1:2] - cy
-        dz = block[:, 2:3] - cz
-        upper = np.sqrt(dx * dx + dy * dy + dz * dz)
-        nearest = upper.min(axis=1)
-        limit = nearest + _PRUNE_MARGIN * (nearest + np.abs(block).max(axis=1) + extent)
-        # Written as "not above" so a NaN bound keeps its triangle and the
-        # NaN reaches the result, as in min_distance_to_mesh.
-        block_rows, block_cols = np.nonzero(~(upper - radii > limit[:, None]))
+    for lo, hi, ids in blocks:
+        if ids is None:
+            block_rows, block_cols = _kept_pairs(points[lo:hi], centroids, radii, extent)
+        else:
+            block_rows, block_cols = _kept_pairs(points[lo:hi], centroids[:, ids], radii[ids],
+                                                 extent)
+            block_cols = ids[block_cols]
         rows.append(block_rows + lo)
         cols.append(block_cols)
     return np.concatenate(rows), np.concatenate(cols)
 
 
 def mesh_distances(points, tris: np.ndarray) -> np.ndarray:
-    """:func:`min_distance_to_mesh` of each row of *points*, bit for bit.
+    """Exact distance from each row of *points* to the nearest triangle of *tris*.
 
-    A triangle's distance from ``p`` lies between ``|p - c| - r`` and
-    ``|p - c|``, where ``c`` and ``r`` are its bounding sphere's centre and
-    radius.  Only the triangles whose lower bound reaches the smallest
-    upper bound (plus a rounding margin) can hold the minimum, so the
-    Voronoi evaluation runs on those pairs alone.  The pairs of all points
-    are gathered and evaluated ``_PAIR_ROWS`` at a time, then reduced to
-    each point's minimum.  ``inf`` for every point of an empty mesh.
+    Each is the minimum of the Voronoi evaluation over every triangle, bit
+    for bit, but the evaluation runs only on the point-triangle pairs that
+    the bounding-sphere bounds keep (:func:`_pruned_pairs`).  The pairs of
+    all points are gathered and evaluated ``_PAIR_ROWS`` at a time, then
+    reduced to each point's minimum.  ``inf`` for every point of an empty
+    mesh.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if tris.shape[0] == 0 or len(points) == 0:
@@ -412,8 +530,8 @@ def run_scenario(scenario: Scenario) -> dict[str, list[TrajectoryRecord]]:
     if flattened.size:
         raise ValueError(
             f"scenario {scenario.name!r}: radii {radii.as_tuple()!r} flatten {flattened.size} "
-            f"triangle(s) in sphere space (collinear or non-finite), the first at index "
-            f"{flattened[0]}"
+            f"triangle(s) in sphere space (collinear, non-finite or out of range), the first "
+            f"at index {flattened[0]}"
         )
     if start_dist < 1.0 - 1e-6:
         raise ValueError(

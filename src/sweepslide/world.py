@@ -366,8 +366,8 @@ def build_world(triangles: Sequence[Triangle] | np.ndarray) -> World:
         normal, accepted = triangle_normals(vertices)
         if not accepted.all():
             index = int(np.argmin(accepted))
-            raise ValueError(f"row {index} of the vertex block is no triangle (collinear or "
-                             f"non-finite vertices): {vertices[index].tolist()!r}")
+            raise ValueError(f"row {index} of the vertex block is no triangle (collinear, "
+                             f"non-finite or out-of-range vertices): {vertices[index].tolist()!r}")
         tris = _LazyTriangles(vertices)
     else:
         tris = tuple(triangles)
@@ -379,9 +379,10 @@ def build_world(triangles: Sequence[Triangle] | np.ndarray) -> World:
         normal = flat[:, 3]
     vertices.flags.writeable = False  # public, and the audit trusts it
     count = len(vertices)
-    lo = vertices.min(axis=1)
-    hi = vertices.max(axis=1)
-    a = vertices[:, 0]
+    a, b, c = vertices[:, 0], vertices[:, 1], vertices[:, 2]
+    # Over the corners two at a time: a reduction along the middle axis is slower.
+    lo = np.minimum(np.minimum(a, b), c)
+    hi = np.maximum(np.maximum(a, b), c)
     offset = normal[:, 0] * a[:, 0] + normal[:, 1] * a[:, 1] + normal[:, 2] * a[:, 2]
     size = CELL_SIZE
     entries = _cell_entries(lo, hi, size)

@@ -10,6 +10,7 @@ from sweepslide.ellipsoid import EllipsoidRadii
 from sweepslide.scenario import (
     REPORT_COLUMNS,
     MeshSource,
+    _triangle_distances,
     Scenario,
     builtin_scenario,
     load_scenario,
@@ -230,7 +231,7 @@ def test_builtin_scenarios_all_run():
                                   "box_room", "random_soup"])
 def test_audit_equals_the_full_scan_of_the_mesh(kind):
     # Unit radii: sphere space is world space, so each record's distance is
-    # the full scan of an array built from the triangles themselves.
+    # the scan of every triangle of an array built from the triangles themselves.
     sc = builtin_scenario(kind, algorithm="both")
     assert sc.radii.is_unit
     tris = np.array([[t.a, t.b, t.c] for t in sc.mesh.load()])
@@ -238,7 +239,7 @@ def test_audit_equals_the_full_scan_of_the_mesh(kind):
     assert set(streams) == {"improved", "legacy"}
     for records in streams.values():
         for r in records:
-            assert r.min_mesh_distance == min_distance_to_mesh(r.position, tris)
+            assert r.min_mesh_distance == _triangle_distances(np.array(r.position), tris).min()
 
 
 def test_audit_equals_the_full_scan_on_a_large_obj_mesh(heightfield_obj):
@@ -255,4 +256,4 @@ def test_audit_equals_the_full_scan_on_a_large_obj_mesh(heightfield_obj):
         assert len(records) == 20
         assert min(r.min_mesh_distance for r in records) < 1.1  # it reached the ground
         for r in records:
-            assert r.min_mesh_distance == min_distance_to_mesh(r.position, tris)
+            assert r.min_mesh_distance == _triangle_distances(np.array(r.position), tris).min()

@@ -16,7 +16,17 @@ from hypothesis import strategies as st
 import sweepslide
 from sweepslide import scenario as scenario_module
 from sweepslide.cli import main
-from sweepslide.core import DegenerateTriangleError, Triangle
+from sweepslide.core import (
+    UNIT_TOLERANCE,
+    DegenerateTriangleError,
+    Triangle,
+    distance,
+    dot,
+    norm,
+    sub,
+    triangle_normals,
+)
+from sweepslide.detect import closest_point_on_triangle, sweep_unit_sphere_triangle
 from sweepslide.ellipsoid import EllipsoidRadii, EllipsoidWorldView, triangle_to_sphere_space
 from sweepslide.legacy import LegacyConfig, collide_with_world_legacy
 from sweepslide.mesh import builtin_mesh
@@ -276,3 +286,79 @@ def test_run_rejects_exactly_the_radii_the_view_cannot_scale(kind, axis, exponen
             run_scenario(sc)
     else:
         assert len(run_scenario(sc)["improved"]) == 1
+
+
+# --- triangles whose squares leave the float range ---
+
+# |ac| is about 1e-162: its square, and with it Triangle's collinearity
+# bound, underflows to 0, and the normal of the subnormal |ab x ac|^2 is
+# 0.938 long.  The edge test divides by that square.
+UNDERFLOW = ((0.0, 0.0, 2.0), (0.0, 4.0, 0.0), (0.0, 1.0425192009783493e-162, 2.0))
+UNDERFLOW_SWEEP = ((1.8760816057430587, 0.0, 2.0), (-0.9380408028715294, 4.0, -2.0))
+FAR = ((50.0, 50.0, 0.0), (54.0, 50.0, 0.0), (50.0, 54.0, 0.0))
+
+
+def test_a_triangle_whose_squares_underflow_is_rejected():
+    with pytest.raises(DegenerateTriangleError, match="squares leave the float range"):
+        Triangle(*UNDERFLOW)
+    assert triangle_normals(np.array([UNDERFLOW]))[1].tolist() == [False]
+    with pytest.raises(ValueError, match="row 1 of the vertex block is no triangle"):
+        build_world(np.array([FAR, UNDERFLOW]))
+
+
+def test_cli_runs_an_obj_mesh_with_a_triangle_whose_squares_underflow(tmp_path, capsys):
+    obj = tmp_path / "sliver.obj"
+    obj.write_text("".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in FAR + UNDERFLOW)
+                   + "f 1 2 3\nf 4 5 6\n")
+    path = tmp_path / "scene.json"
+    start, vel = UNDERFLOW_SWEEP
+    path.write_text(json.dumps({"mesh": {"path": str(obj)}, "start": list(start),
+                                "velocity": list(vel), "frames": 1, "algorithm": "both"}))
+    assert main(["run", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert out.count("\n0,") == 2  # one frame per algorithm
+
+
+@st.composite
+def _scaled_triangles(draw):
+    """A random triangle, or one with a short edge ``ac``, scaled by a power of ten."""
+    coord = st.floats(-4.0, 4.0)
+    a, b, c = (draw(st.tuples(coord, coord, coord)) for _ in range(3))
+    if draw(st.booleans()):
+        shrink = 10.0 ** draw(st.integers(-170, 0))
+        c = tuple(ai + (ci - ai) * shrink for ai, ci in zip(a, c))
+    size = 10.0 ** draw(st.integers(-170, 150))
+    return tuple(tuple(x * size for x in v) for v in (a, b, c)), size
+
+
+@given(_scaled_triangles(), st.tuples(*[st.floats(-1.0, 1.0)] * 3), st.floats(0.0, 3.0),
+       st.tuples(*[st.floats(0.0, 1.0)] * 3), st.floats(0.0, 2.0), st.booleans())
+@settings(max_examples=1000, deadline=None)
+def test_scaled_triangles_are_judged_alike_and_never_crash_a_sweep(
+        triangle, direction, gap, weights, speed, far):
+    vertices, size = triangle
+    try:
+        tri = Triangle(*vertices)
+    except DegenerateTriangleError:
+        tri = None
+    normals, accepted = triangle_normals(np.array([vertices]))
+    assert accepted.tolist() == [tri is not None]
+    if tri is None:
+        return
+    assert tuple(normals[0].tolist()) == tri.normal
+    assert abs(norm(tri.normal) - 1.0) <= UNIT_TOLERANCE
+    edges = (sub(tri.b, tri.a), sub(tri.c, tri.b), sub(tri.a, tri.c))
+    assert all(dot(e, e) > 0.0 for e in edges)
+    # From a point off the centroid (one unit, or the triangle's size, per
+    # unit of gap) towards a point of the triangle.
+    centroid = tuple(sum(v[i] for v in vertices) / 3.0 for i in range(3))
+    reach = gap * (size if far else 1.0)
+    start = tuple(p + d * reach for p, d in zip(centroid, direction))
+    total = sum(weights) or 1.0
+    target = tuple(sum(w * v[i] for w, v in zip(weights, vertices)) / total for i in range(3))
+    vel = tuple((t - s) * speed for t, s in zip(target, start))
+    sweep_unit_sphere_triangle(start, vel, tri)
+    # The response takes only starts clear of the mesh, as run_scenario does.
+    if size <= 1.0 and not far and distance(start, closest_point_on_triangle(start, tri)) >= 1.0:
+        sphere_sweep(build_world([tri]), start, vel)
