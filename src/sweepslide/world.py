@@ -64,11 +64,6 @@ SWEEP_BOX_SLACK = 1e-2
 # arithmetic and the narrowphase's.
 SLAB_MARGIN = 1.0 + SWEEP_BOX_SLACK
 
-# A grid of at least this many entries is filled from one numpy sort (see
-# _sorted_cells); below it, numpy's cost per call outweighs the Python
-# loop's per entry.
-SORTED_FILL_ENTRIES = 2048
-
 # A sweep's grid answer of at most this many triangles is box-tested in
 # Python floats (see World.sweep_indices), a longer one with numpy.  On a
 # 2-core host, over a 20,000-triangle heightfield's sweeps, the loop beat
@@ -116,9 +111,11 @@ def _cell_entries(lo: np.ndarray, hi: np.ndarray, size: float) -> float:
     """How many grid entries boxes ``lo``-``hi`` fill at cell *size*.
 
     In float64, with the same division and floor as :func:`_cell_coords`:
-    exact up to 2**53 entries, far past any bound it is held against.
+    exact up to 2**53 entries, far past any bound it is held against.  A
+    count past the float range is ``inf``, which every bound refuses.
     """
-    return float((np.floor(hi / size) - np.floor(lo / size) + 1.0).prod(axis=1).sum())
+    with np.errstate(over="ignore"):
+        return float((np.floor(hi / size) - np.floor(lo / size) + 1.0).prod(axis=1).sum())
 
 
 def _overlap_column(bounds: Bounds) -> np.ndarray:
@@ -397,8 +394,10 @@ def build_world(triangles: Sequence[Triangle] | np.ndarray) -> World:
     while entries > MAX_CELLS_PER_TRIANGLE * count:
         size *= 2.0
         entries = _cell_entries(lo, hi, size)
-    cells = _sorted_cells(lo, hi, size) if entries >= SORTED_FILL_ENTRIES else None
+    # An empty mesh skips the sort, whose minimum has no identity.
+    cells = _sorted_cells(lo, hi, size) if count else {}
     if cells is None:
+        # Cells or packed entries beyond int64: Python ints, cell by cell.
         cells = {}
         for index, x0, y0, z0, x1, y1, z1 in zip(range(count), *_cell_coords(lo, size),
                                                  *_cell_coords(hi, size)):

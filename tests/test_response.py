@@ -266,3 +266,50 @@ def test_one_plane_velocity_reaches_projected_dest():
     res = sphere_sweep(world, (0.0, 0.0, 2.0), (1.0, 0.5, -3.0), CFG)
     floor = Plane((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
     assert abs(signed_plane_distance(floor, res.final_pos) - 1.005) <= 1e-9
+
+
+# --- a shallow valley (ROADMAP item 1) ---
+
+# z = 1.5*sin(0.31*i)*cos(0.23*j) + 0.8*sin(0.11*(i + j)) at i = 12..15
+# (rows) and j = 25..28 (columns), written out so that no libm moves them.
+_VALLEY_HEIGHTS = (
+    (-1.3467427021398972, -1.471912486571894, -1.5475312192615451, -1.5712561773425033),
+    (-1.6917937579801405, -1.8406979135133983, -1.9222680225899462, -1.9334899955164564),
+    (-1.9329402218257798, -2.0947474088409166, -2.1771224516515186, -2.1766354461856157),
+    (-2.0505570309719294, -2.2124715766798344, -2.2896623343204308, -2.278588038402282),
+)
+_VALLEY_START = (13.287099145842799, 26.094682529042547, -0.8851386544955206)
+_VALLEY_STEP = (0.145399268978585, 0.31268552123857873, -0.31172007364810983)
+
+
+def _valley_world():
+    """The 3x3 quads around the walker, two triangles each, in the bench terrain's corner order."""
+    h = _VALLEY_HEIGHTS
+    tris = []
+    for i in range(3):
+        for j in range(3):
+            x, y = 12.0 + i, 25.0 + j
+            a, b = (x, y, h[i][j]), (x + 1.0, y, h[i + 1][j])
+            c, d = (x + 1.0, y + 1.0, h[i + 1][j + 1]), (x, y + 1.0, h[i][j + 1])
+            tris += [Triangle(a, b, c), Triangle(a, c, d)]
+    return build_world(tris)
+
+
+def test_the_valley_step_without_its_fall_moves_freely():
+    world = _valley_world()
+    step = (_VALLEY_STEP[0], _VALLEY_STEP[1], 0.0)
+    res = sphere_sweep(world, _VALLEY_START, step, CFG)
+    assert res.iterations == 0
+    assert res.final_pos == add(_VALLEY_START, step)  # 0.345 along the valley
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_a_walker_in_a_shallow_valley_keeps_moving():
+    # Two planes sloped about 21 and 16 degrees make a crease, and the
+    # crease runs into a third triangle at once: 3 iterations, no motion.
+    world = _valley_world()
+    res = sphere_sweep(world, _VALLEY_START, _VALLEY_STEP, CFG)
+    assert distance(res.final_pos, _VALLEY_START) > 0.01
+    worst = min(distance(res.final_pos, closest_point_on_triangle(res.final_pos, t))
+                for t in world.triangles)
+    assert worst >= 1.0 - 1e-6

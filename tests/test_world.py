@@ -44,6 +44,15 @@ def test_cell_entry_bound_counts_every_triangle():
         build_world([wide] * 4)
 
 
+def test_an_entry_count_past_the_float_range_is_refused():
+    # Its per-axis cell counts multiply past the float range; the bound
+    # still refuses it, with the exact count, and numpy warns of nothing.
+    huge = Triangle((2e103, 2e103, 0.0), (0.0, 0.0, 3e103), (2e103, 2e103, 4.6e-8))
+    for mesh in ([huge], np.array([huge.vertices()])):
+        with pytest.raises(ValueError, match="cell entries"):
+            build_world(mesh)
+
+
 @pytest.mark.parametrize("tris", [
     builtin_mesh("random_soup", n=64, seed=3, extent=9.0),
     builtin_mesh("box_room"),
@@ -472,6 +481,9 @@ def test_triangles_passed_in_are_kept():
 
 
 @pytest.mark.parametrize("tris, sorted_fill", [
+    ([], None),
+    (builtin_mesh("floor"), True),
+    (builtin_mesh("random_soup", n=40, seed=5, extent=8.0), True),
     (builtin_mesh("random_soup", n=300, seed=4, extent=20.0), True),
     (_heightfield(12, seed=3), True),
     ([Triangle(*(tuple(v - 1e8 for v in p) for p in t.vertices()))
@@ -482,10 +494,17 @@ def test_triangles_passed_in_are_kept():
     ([Triangle((1e20, 0.0, 0.0), (1e20, 1.0, 0.0), (1e20, 0.0, 1.0)),
       Triangle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))], False),
     ([Triangle((s, s, s), (s + 1.0, s, s), (s, s + 1.0, s)) for s in (-4e14, 4e14)], False),
-], ids=["soup", "heightfield", "far-soup", "box_room", "beyond-int64", "wide-spread"])
-def test_the_sorted_fill_is_the_python_fill(monkeypatch, tris, sorted_fill):
-    monkeypatch.setattr(world_module, "SORTED_FILL_ENTRIES", 0)
-    world = build_world(tris)
+], ids=["empty", "floor", "soup_40", "soup", "heightfield", "far-soup", "box_room",
+        "beyond-int64", "wide-spread"])
+def test_the_sorted_fill_is_the_python_fill(tris, sorted_fill):
+    # build_world sorts every grid whose entries fit int64 and fills the
+    # rest (sorted_fill False) with the Python loop; an empty mesh (None)
+    # gets no cells and no sort.
+    sort = world_module._sorted_cells
+    with mock.patch.object(world_module, "_sorted_cells", wraps=sort) as spy:
+        world = build_world(tris)
     assert world._cells == _fixed_grid(tris, world.cell_size)
-    lo, hi = world.vertices.min(axis=1), world.vertices.max(axis=1)
-    assert (world_module._sorted_cells(lo, hi, world.cell_size) is not None) == sorted_fill
+    assert spy.call_count == (sorted_fill is not None)
+    if sorted_fill is not None:
+        lo, hi = world.vertices.min(axis=1), world.vertices.max(axis=1)
+        assert (sort(lo, hi, world.cell_size) is not None) == sorted_fill
