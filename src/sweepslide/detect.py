@@ -15,9 +15,18 @@ does not close in); where that stays above one unit up to t = 1, nothing is
 touched.  It fires only past a margin (see ``REACH_MARGIN``) that covers
 the rounding of the start's nearest point and the sub-tests' own rounding,
 so it drops only triangles the sub-tests would miss as well, and every
-result is the same bit for bit.  On the benchmark's workloads it takes 71 %
-of the narrowphase calls on terrain_crowd, 61 % on scenario_suite and 15 %
-on soup_fuzz.
+result is the same bit for bit.
+
+The tangent is checked up to a horizon, ``limit`` (1 by default), and
+``check_collision`` passes the earliest contact time found so far.  A
+triangle culled at horizon L stays farther than one unit plus the margin
+for every t <= L, so its sub-tests could not return a t below L, and a t of
+exactly L, from a later candidate, loses the tie to the earlier one anyway.
+A bounded call thus returns the unbounded result or ``None``, and the
+unbounded result whenever its t is below L, so the earliest contact keeps
+its bits.  On the benchmark's workloads the cull takes 85 % of the
+narrowphase calls on terrain_crowd, 68 % on scenario_suite and 39 % on
+soup_fuzz, where a horizon fixed at 1 takes 71, 59 and 16 %.
 
 The per-triangle functions unpack their tuples into float locals and write
 every difference and dot product inline, in the operation order of
@@ -145,7 +154,8 @@ def closest_point_on_triangle(p: Vec3, tri: Triangle) -> Vec3:
     return (ax + (abx * v + acx * w), ay + (aby * v + acy * w), az + (abz * v + acz * w))
 
 
-def sweep_unit_sphere_triangle(source: Vec3, vel: Vec3, tri: Triangle) -> SweepHit | None:
+def sweep_unit_sphere_triangle(source: Vec3, vel: Vec3, tri: Triangle, *,
+                               limit: float = 1.0) -> SweepHit | None:
     """First contact time of a unit sphere at *source* moving by *vel*.
 
     Returns ``None`` when the triangle is not reached within the frame
@@ -157,6 +167,11 @@ def sweep_unit_sphere_triangle(source: Vec3, vel: Vec3, tri: Triangle) -> SweepH
     any other start: its distance from the triangle, a convex set, cannot
     fall, so a sphere resting at one radius whose distance rounds below it
     can still leave.
+
+    With a horizon *limit* below 1 the call may also return ``None`` for a
+    triangle first reached at ``t >= limit``, but never for one reached
+    earlier, and it returns no result other than the unbounded call's (see
+    the module docstring).
     """
     nearest = closest_point_on_triangle(source, tri)
     sx, sy, sz = source
@@ -175,14 +190,14 @@ def sweep_unit_sphere_triangle(source: Vec3, vel: Vec3, tri: Triangle) -> SweepH
     ax, ay, az = a
     bx, by, bz = b
     cx, cy, cz = c
-    # Reach cull on the distance's tangent at the start, gap + t * closing /
-    # gap, or gap for motion that does not close in; gap >= 1 here whenever
-    # closing < 0.  1 - cos^2 stands for the squared sine: it rounds to about
-    # 1e-16 on the thinnest slivers, where the margin is still far wider than
-    # their error.
+    # Reach cull on the distance's tangent at the start up to t = limit,
+    # gap + t * closing / gap, or gap for motion that does not close in;
+    # gap >= 1 here whenever closing < 0.  1 - cos^2 stands for the squared
+    # sine: it rounds to about 1e-16 on the thinnest slivers, where the
+    # margin is still far wider than their error.
     clear = gap - 1.0
     if closing < 0.0:
-        clear += closing / gap
+        clear += limit * closing / gap
     if clear > 0.0:
         abx, aby, abz = bx - ax, by - ay, bz - az
         acx, acy, acz = cx - ax, cy - ay, cz - az
@@ -286,18 +301,24 @@ def check_collision(world, source: Vec3, vel: Vec3) -> SweepHit | None:
     pairs in ascending index order.  It is handed the sweep's two
     endpoints, and may leave out any triangle the sweep provably cannot
     touch, but no other.  Ties at identical t go to the smaller index,
-    which iteration order plus the strict comparison provides.
+    which iteration order plus the strict comparison provides.  Each
+    narrowphase call is bounded by the earliest contact found so far: a
+    later candidate can only win with a t below it, and the horizon keeps
+    every such contact.
     """
     end = add(source, vel)
     best: SweepHit | None = None
     best_index = -1
+    limit = 1.0
     for index, tri in world.candidates(source, end):
         # A global lookup on every call, so a wrapper bound to the module
-        # name sees every narrowphase call.
-        hit = sweep_unit_sphere_triangle(source, vel, tri)
+        # name sees every narrowphase call; the horizon goes by keyword, so
+        # the call keeps three positional arguments.
+        hit = sweep_unit_sphere_triangle(source, vel, tri, limit=limit)
         if hit is not None and (best is None or hit.t < best.t):
             best = hit
             best_index = index
+            limit = hit.t
     if best is None:
         return None
     return SweepHit(best.t, best.contact_point, best_index)

@@ -3,7 +3,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sweepslide.detect
@@ -28,6 +28,10 @@ from sweepslide.detect import (
     point_in_triangle,
     sweep_unit_sphere_triangle,
 )
+from sweepslide.ellipsoid import EllipsoidRadii, EllipsoidWorldView
+from sweepslide.legacy import collide_with_world_legacy
+from sweepslide.mesh import builtin_mesh
+from sweepslide.response import sphere_sweep
 from sweepslide.world import build_world
 
 BIG_FLOOR = Triangle((-50.0, -50.0, 0.0), (50.0, -50.0, 0.0), (0.0, 50.0, 0.0))
@@ -193,14 +197,16 @@ def test_check_collision_matches_brute_force():
 def test_check_collision_calls_the_narrowphase_through_the_module(monkeypatch):
     # The bench counts narrowphase calls by rebinding the module name, so
     # check_collision must look it up there once per surviving candidate.
+    # Its hook unpacks exactly (source, vel, tri): the horizon goes by keyword.
     rng = random.Random(5)
     world = build_world([_random_triangle(rng, extent=3.0) for _ in range(40)])
     calls = []
     original = sweepslide.detect.sweep_unit_sphere_triangle
 
-    def counted(source, vel, tri):
-        calls.append(tri)
-        return original(source, vel, tri)
+    def counted(*args, **kw):
+        assert len(args) == 3
+        calls.append(args[2])
+        return original(*args, **kw)
 
     monkeypatch.setattr(sweepslide.detect, "sweep_unit_sphere_triangle", counted)
     checked = 0
@@ -546,3 +552,128 @@ def test_reach_cull_skips_the_feature_tests(monkeypatch):
     monkeypatch.setattr(sweepslide.detect, "robust_quadratic_roots", counted)
     assert sweep_unit_sphere_triangle(source, vel, tri) is None
     assert calls == []
+
+
+# --- the horizon ---
+
+
+@st.composite
+def _bounded(draw):
+    """``(source, vel, triangle, L)``: a ``_sweeps()`` or ``_head_on()`` case
+    with its motion stretched, which moves a head-on contact due at the
+    frame's end to ``1 / stretch`` with the tangent bound still tight there,
+    and a horizon ``L`` from [0, 1] or next to the unbounded contact time,
+    where a horizon a hair too short drops a real contact."""
+    source, vel, tri = draw(st.one_of(_sweeps(), _head_on()))
+    vel = scale(vel, draw(st.floats(1.0, 20.0)))
+    horizons = st.floats(0.0, 1.0)
+    full = sweep_unit_sphere_triangle(source, vel, tri)
+    if full is not None:
+        near = {full.t, math.nextafter(full.t, 0.0), math.nextafter(full.t, 2.0)}
+        horizons |= st.sampled_from(sorted(x for x in near if 0.0 < x <= 1.0))
+    return source, vel, tri, draw(horizons)
+
+
+@given(_bounded())
+@example(((0.0, 0.0, 3.0), (0.0, 0.0, -3.0), BIG_FLOOR, math.nextafter(2.0 / 3.0, 1.0)))
+@settings(max_examples=600, deadline=None)
+def test_a_horizon_drops_only_contacts_at_or_after_it(case):
+    # check_collision bounds each call by the earliest contact found so far.
+    # Cut off at L, the reach cull may drop a triangle whose first contact
+    # comes at L or later, but it keeps every earlier one and never changes
+    # a result it keeps.
+    source, vel, tri, limit = case
+    full = sweep_unit_sphere_triangle(source, vel, tri)
+    hit = sweep_unit_sphere_triangle(source, vel, tri, limit=limit)
+    assert hit is None or hit == full
+    if full is not None and full.t < limit:
+        assert hit == full
+
+
+def _tessellated_floor(n):
+    """An ``n`` by ``n`` grid of unit squares in the plane z = 0, two triangles each."""
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            x0, y0 = i - 0.5 * n, j - 0.5 * n
+            a, b = (x0, y0, 0.0), (x0 + 1.0, y0, 0.0)
+            c, d = (x0 + 1.0, y0 + 1.0, 0.0), (x0, y0 + 1.0, 0.0)
+            tris += [Triangle(a, b, c), Triangle(a, c, d)]
+    return tris
+
+
+def _without_horizon(monkeypatch):
+    """Rebinds the narrowphase so every call ignores its horizon, as before it had one."""
+    original = sweepslide.detect.sweep_unit_sphere_triangle
+
+    def unbounded(source, vel, tri, *, limit=1.0):
+        return original(source, vel, tri)
+
+    monkeypatch.setattr(sweepslide.detect, "sweep_unit_sphere_triangle", unbounded)
+
+
+def _walker_frames(worlds, seed):
+    """Improved and legacy frames through each world and through two views of
+    it with non-unit radii: walkers start in [-8, 8]^3, half of them aimed
+    at a triangle, and each response runs on for four frames."""
+    rng = random.Random(seed)
+    frames = []
+    for world in worlds:
+        for radii in ((1.0, 1.0, 1.0), (0.5, 0.8, 1.6), (2.0, 1.0, 0.7)):
+            view = EllipsoidWorldView(world, EllipsoidRadii(*radii))
+            for _ in range(12):
+                pos = tuple(rng.uniform(-8.0, 8.0) for _ in range(3))
+                if rng.random() < 0.5:
+                    tri = world.triangles[rng.randrange(len(world.triangles))]
+                    target = tuple((tri.a[i] + tri.b[i] + tri.c[i]) / (3.0 * radii[i])
+                                   for i in range(3))
+                    vel = scale(sub(target, pos), rng.uniform(0.5, 2.0))
+                else:
+                    vel = tuple(rng.uniform(-3.0, 3.0) for _ in range(3))
+                for step in (sphere_sweep, collide_with_world_legacy):
+                    p = pos
+                    for _ in range(4):
+                        res = step(view, p, vel)
+                        frames.append(res)
+                        p = res.final_pos
+    return frames
+
+
+def test_whole_frames_keep_their_bits_under_the_horizon(monkeypatch):
+    # The acceptance corpus's ten soups and a tessellated floor, each also
+    # seen through ellipsoid views.
+    worlds = [build_world(builtin_mesh("random_soup", n=40, seed=1000 + i, extent=8.0))
+              for i in range(10)]
+    worlds.append(build_world(_tessellated_floor(12)))
+    bounded = _walker_frames(worlds, 11)
+    with monkeypatch.context() as m:
+        _without_horizon(m)
+        unbounded = _walker_frames(worlds, 11)
+    assert sum(res.iterations > 0 for res in bounded) > 500
+    assert bounded == unbounded
+
+
+def test_a_found_contact_spares_later_candidates_the_feature_tests(monkeypatch):
+    # A sphere dropping onto an 8 by 8 floor of small triangles touches the
+    # one below it first.  Its neighbours are touched later, and those after
+    # it in index order stay out of reach up to that contact, though not up
+    # to the end of the frame.
+    world = build_world(_tessellated_floor(8))
+    frames, roots = [], []
+    for bounded in (True, False):
+        with monkeypatch.context() as m:
+            if not bounded:
+                _without_horizon(m)
+            calls = []
+            original = sweepslide.detect.robust_quadratic_roots
+
+            def counted(a, b, c):
+                calls.append((a, b, c))
+                return original(a, b, c)
+
+            m.setattr(sweepslide.detect, "robust_quadratic_roots", counted)
+            frames.append(sphere_sweep(world, (0.3, 0.2, 3.0), (0.1, 0.05, -2.5)))
+        roots.append(len(calls))
+    assert frames[0] == frames[1]
+    assert frames[0].iterations >= 1
+    assert roots[0] < roots[1]
