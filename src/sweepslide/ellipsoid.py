@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .core import Triangle, Vec3
-from .world import World
+from .world import MAX_TRIANGLE_EXTENT, World
 
 __all__ = [
     "EllipsoidRadii",
@@ -74,13 +74,18 @@ class EllipsoidWorldView:
     arrays (the box in world space, the plane slab in sphere space), and
     only the surviving triangles are scaled, on demand.  The underlying
     world stays untouched, so one world can be shared by entities with
-    different radii; each entity should use its own view (the transform
-    cache is not locked).
+    different radii; entities that sweep concurrently should each use their
+    own view (the transform cache is not locked).  Radii that widen a triangle's box past
+    ``MAX_TRIANGLE_EXTENT`` in sphere space raise ``ValueError`` here.
     """
 
     __slots__ = ("world", "radii", "_cache")
 
     def __init__(self, world: World, radii: EllipsoidRadii):
+        if not all(e <= MAX_TRIANGLE_EXTENT * r for e, r in zip(world._extent, radii.as_tuple())):
+            raise ValueError(f"radii {radii.as_tuple()!r} widen a triangle of the world past "
+                             f"MAX_TRIANGLE_EXTENT ({MAX_TRIANGLE_EXTENT!r}) in sphere space: "
+                             f"its widest box sides are {world._extent!r}")
         self.world = world
         self.radii = radii
         self._cache: dict[int, Triangle] = {}

@@ -510,7 +510,8 @@ def run_scenario(scenario: Scenario) -> dict[str, list[TrajectoryRecord]]:
     triangles' bounding spheres are built once per scenario.  Raises
     ``ValueError`` when the start position penetrates the mesh, when the
     start, a velocity or the mesh is out of range in sphere space, or when
-    the radii flatten a triangle there, before any frame runs.
+    the radii flatten a triangle there or widen one past the view's bound,
+    before any frame runs.
     """
     world = scenario.mesh.build()
     radii = scenario.radii
@@ -544,9 +545,10 @@ def run_scenario(scenario: Scenario) -> dict[str, list[TrajectoryRecord]]:
     legacy_cfg = LegacyConfig(very_close_dist=scenario.epsilon,
                               max_recursion=scenario.legacy_max_recursion)
 
+    # One view for both streams: they run in turn and share its scaled triangles.
+    view = EllipsoidWorldView(world, radii)
     steps: dict[str, list] = {}
     for algo in algorithms:
-        view = EllipsoidWorldView(world, radii)
         pos_sphere = start_s
         results = []
         for vel_sphere in velocities:

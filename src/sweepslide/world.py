@@ -5,7 +5,9 @@ so a box query over the touched cells can never miss an overlapping
 triangle.  The hash is sparse (a dict keyed by integer cell coordinates)
 because worlds may be spatially large and mostly empty.  Each world sizes
 its own cells: ``CELL_SIZE``, doubled while its triangles would cover more
-than ``MAX_CELLS_PER_TRIANGLE`` cells each on average.
+than ``MAX_CELLS_PER_TRIANGLE`` cells each on average.  A mesh of any size
+builds; a triangle whose box is wider than ``MAX_TRIANGLE_EXTENT`` along an
+axis is refused, because the narrowphase loses precision on it.
 
 The world also keeps every triangle's box and plane as float64 arrays, so
 the grid's answer to a sweep can be cut down with two filters, an exact box
@@ -44,15 +46,13 @@ CELL_SIZE = 4.0
 # 8 % slower; at 32 it keeps 4.0.
 MAX_CELLS_PER_TRIANGLE = 32
 
-# The most grid entries (one per triangle per cell its box covers) a world
-# may hold, counted at CELL_SIZE.  Larger cells index any mesh in a few
-# entries, so the bound is not about the grid: it refuses triangles too
-# large for the narrowphase, whose edge test cancels in ``ee*mm - em*em``.  With
-# it lifted, a floor of size 1e8 stopped the sphere at z = 1.144, floors of
-# 1e9 and 1e10 never let it leave z = 2, and a two-triangle strip with a
-# 2.4e7-long shared edge froze 3 of 50 walkers.  Floors up to 1e7 and
-# edges 8e6 long were fine.
-MAX_CELL_ENTRIES = 4_000_000
+# The widest box side a triangle may have, in sphere-space units.  The
+# narrowphase's edge test cancels in ``ee*mm - em*em`` once an edge is long
+# against the unit sphere.  It is the largest power of two at which the probe
+# in tests/test_world.py passes: a floor that wide slides at z = 1 + epsilon
+# with 1 iteration, and a two-triangle strip that long keeps 50 of 50 walkers
+# moving.  At 2**23 the strip stops 2 of them, at 2**24 23, at 2**25 41.
+MAX_TRIANGLE_EXTENT = 2.0 ** 22
 
 # Padding, beyond the unit radius, of a sweep's box and of the plane slab
 # it is filtered with.  Slack only adds candidates, never drops one.
@@ -78,10 +78,11 @@ Bounds = tuple[Vec3, Vec3]
 
 
 def _cell_range(bounds: Bounds, size: float) -> tuple[range, range, range]:
-    """The grid cells of edge *size* a query box touches.
+    """The grid cells of edge *size* a box touches, for a query or a fill.
 
-    ``build_world`` maps triangle boxes with :func:`_cell_coords`, the same
-    division and floor: the grid is sound only because the two agree.
+    The grid is sound only because fill and query agree on each cell:
+    ``build_world``'s Python-int fill calls this function, and its sorted
+    fill takes the same IEEE division and floor in numpy.
     """
     lo, hi = bounds
     # floor, not int(): truncation toward zero is wrong for negative
@@ -93,29 +94,14 @@ def _cell_range(bounds: Bounds, size: float) -> tuple[range, range, range]:
     )
 
 
-def _cell_coords(coords: np.ndarray, size: float) -> list[list[int]]:
-    """``math.floor(x / size)`` for every entry, as Python ints, column by column.
-
-    Three long lists rather than one short list per row: each list is an
-    object the garbage collector tracks.
-    """
-    cells = np.floor(coords.T / size)
-    if not (np.abs(cells).max(initial=0.0) < 2.0 ** 62):
-        # Beyond int64 (or not finite): convert one by one, exactly as
-        # math.floor would, errors included.
-        return [[int(v) for v in column] for column in cells.tolist()]
-    return cells.astype(np.int64).tolist()
-
-
 def _cell_entries(lo: np.ndarray, hi: np.ndarray, size: float) -> float:
     """How many grid entries boxes ``lo``-``hi`` fill at cell *size*.
 
-    In float64, with the same division and floor as :func:`_cell_coords`:
-    exact up to 2**53 entries, far past any bound it is held against.  A
-    count past the float range is ``inf``, which every bound refuses.
+    In float64, with the same division and floor as :func:`_cell_range`:
+    exact up to 2**53 entries, and finite, as every box is at most
+    ``MAX_TRIANGLE_EXTENT`` wide.
     """
-    with np.errstate(over="ignore"):
-        return float((np.floor(hi / size) - np.floor(lo / size) + 1.0).prod(axis=1).sum())
+    return float((np.floor(hi / size) - np.floor(lo / size) + 1.0).prod(axis=1).sum())
 
 
 def _overlap_column(bounds: Bounds) -> np.ndarray:
@@ -158,20 +144,23 @@ class World:
     ``(p, 1)`` times it is the signed distance of ``p`` from the plane.
     Row ``i`` of ``vertices`` is triangle ``i``'s ``(a, b, c)``.  Entry
     ``i`` of ``_rows`` is ``None`` or triangle ``i``'s box and plane as
-    Python floats (see ``_row``).
+    Python floats (see ``_row``).  ``_extent`` is the widest box side of
+    any triangle along each axis.
     """
 
-    __slots__ = ("triangles", "vertices", "_cell_size", "_cells", "_boxes", "_planes", "_rows")
+    __slots__ = ("triangles", "vertices", "_cell_size", "_cells", "_boxes", "_planes", "_rows",
+                 "_extent")
 
     def __init__(self, triangles: Sequence[Triangle], vertices: np.ndarray, cell_size: float,
                  cells: dict[tuple[int, int, int], list[int]],
-                 boxes: np.ndarray, planes: np.ndarray):
+                 boxes: np.ndarray, planes: np.ndarray, extent: Vec3):
         self.triangles = triangles
         self.vertices = vertices
         self._cell_size = cell_size
         self._cells = cells
         self._boxes = boxes
         self._planes = planes
+        self._extent = extent
         # Each triangle's _row, made when the scalar filter first reads it.
         # Concurrent sweeps may both make one; either copy is the same.
         self._rows: list[tuple[float, ...] | None] = [None] * boxes.shape[1]
@@ -352,9 +341,9 @@ def build_world(triangles: Sequence[Triangle] | np.ndarray) -> World:
 
     The cells start at ``CELL_SIZE`` and double while the triangles would
     cover more than ``MAX_CELLS_PER_TRIANGLE`` cells each on average.
-    Deterministic for identical input order; rejects meshes that would fill
-    more than ``MAX_CELL_ENTRIES`` entries at ``CELL_SIZE`` before building
-    anything.
+    Deterministic for identical input order; a triangle whose box is wider
+    than ``MAX_TRIANGLE_EXTENT`` along an axis raises ``ValueError`` naming
+    the first such row, before anything is built.
     """
     if isinstance(triangles, np.ndarray):
         if triangles.ndim != 3 or triangles.shape[1:] != (3, 3):
@@ -380,17 +369,15 @@ def build_world(triangles: Sequence[Triangle] | np.ndarray) -> World:
     # Over the corners two at a time: a reduction along the middle axis is slower.
     lo = np.minimum(np.minimum(a, b), c)
     hi = np.maximum(np.maximum(a, b), c)
+    narrow = (hi <= lo + MAX_TRIANGLE_EXTENT).all(axis=1)
+    if not narrow.all():
+        index = int(np.argmin(narrow))
+        raise ValueError(f"row {index} of the mesh is wider than MAX_TRIANGLE_EXTENT "
+                         f"({MAX_TRIANGLE_EXTENT!r}) along an axis: its box is "
+                         f"{lo[index].tolist()!r} to {hi[index].tolist()!r}")
     offset = normal[:, 0] * a[:, 0] + normal[:, 1] * a[:, 1] + normal[:, 2] * a[:, 2]
     size = CELL_SIZE
     entries = _cell_entries(lo, hi, size)
-    if entries > MAX_CELL_ENTRIES:
-        # The exact count, in Python ints, for the message.
-        entries = sum((x1 - x0 + 1) * (y1 - y0 + 1) * (z1 - z0 + 1) for x0, y0, z0, x1, y1, z1
-                      in zip(*_cell_coords(lo, size), *_cell_coords(hi, size)))
-        raise ValueError(
-            f"the grid would hold {entries} cell entries, more than {MAX_CELL_ENTRIES}, "
-            f"at cell size {CELL_SIZE!r}: the triangles are too large for the cells"
-        )
     while entries > MAX_CELLS_PER_TRIANGLE * count:
         size *= 2.0
         entries = _cell_entries(lo, hi, size)
@@ -399,12 +386,13 @@ def build_world(triangles: Sequence[Triangle] | np.ndarray) -> World:
     if cells is None:
         # Cells or packed entries beyond int64: Python ints, cell by cell.
         cells = {}
-        for index, x0, y0, z0, x1, y1, z1 in zip(range(count), *_cell_coords(lo, size),
-                                                 *_cell_coords(hi, size)):
-            for ix in range(x0, x1 + 1):
-                for iy in range(y0, y1 + 1):
-                    for iz in range(z0, z1 + 1):
+        for index, box in enumerate(zip(lo.tolist(), hi.tolist())):
+            rx, ry, rz = _cell_range(box, size)
+            for ix in rx:
+                for iy in ry:
+                    for iz in rz:
                         cells.setdefault((ix, iy, iz), []).append(index)
         # Appending in index order already leaves each bucket sorted ascending.
     return World(tris, vertices, size, cells, np.hstack((lo, -hi)).T.copy(),
-                 np.column_stack((normal, -offset)).T.copy())
+                 np.column_stack((normal, -offset)).T.copy(),
+                 tuple((hi - lo).max(axis=0, initial=0.0).tolist()))

@@ -130,7 +130,7 @@ def test_grid_too_large_to_build_errors(tmp_path, capsys):
     path.write_text(json.dumps({"mesh": {"builtin": "floor", "size": 1e10},
                                 "start": [0, 0, 3], "velocity": [0, 0, -1]}))
     assert main(["run", str(path)]) == 2
-    assert "error: the grid would hold" in capsys.readouterr().err
+    assert "error: row 0 of the mesh is wider than MAX_TRIANGLE_EXTENT" in capsys.readouterr().err
 
 
 def test_mesh_overflowing_in_sphere_space_errors(tmp_path, capsys):

@@ -14,7 +14,8 @@ from sweepslide.ellipsoid import (
     triangle_to_sphere_space,
 )
 from sweepslide.mesh import builtin_mesh
-from sweepslide.world import build_world
+from sweepslide.response import sphere_sweep
+from sweepslide.world import MAX_TRIANGLE_EXTENT, build_world
 
 UNIT = EllipsoidRadii(1.0, 1.0, 1.0)
 
@@ -124,3 +125,25 @@ def test_view_with_unit_radii_matches_world():
     assert (a is None) == (b is None)
     if a is not None:
         assert a == b
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_a_view_refuses_radii_that_widen_a_triangle_past_the_bound(axis):
+    # The triangle's box is 200 by 50 by 10.  A radius of side / bound (exact:
+    # the bound is a power of two) makes that side exactly as wide as the
+    # bound in sphere space; one a hair smaller makes it wider.
+    world = build_world([Triangle((0.0, 0.0, 0.0), (200.0, 0.0, 0.0), (0.0, 50.0, 10.0))])
+    radii = [1.0, 1.0, 1.0]
+    radii[axis] = (200.0, 50.0, 10.0)[axis] / MAX_TRIANGLE_EXTENT
+    view = EllipsoidWorldView(world, EllipsoidRadii(*radii))
+    # Through it, a sphere dropped onto the middle of the face stops above it.
+    centroid = to_sphere_space((200.0 / 3.0, 50.0 / 3.0, 10.0 / 3.0), view.radii)
+    normal = triangle_to_sphere_space(world.triangles[0], view.radii).normal
+    start = tuple(c + 3.0 * n for c, n in zip(centroid, normal))
+    res = sphere_sweep(view, start, tuple(-3.0 * n for n in normal))
+    assert res.iterations == 1
+    assert dot(sub(res.final_pos, centroid), normal) == pytest.approx(1.005, abs=1e-6)
+    radii[axis] = math.nextafter(radii[axis], 0.0)
+    with pytest.raises(ValueError, match=r"^radii .* widen a triangle of the world past "
+                                         r"MAX_TRIANGLE_EXTENT \(4194304\.0\) in sphere space"):
+        EllipsoidWorldView(world, EllipsoidRadii(*radii))

@@ -108,6 +108,36 @@ def test_far_from_origin_matches_full_scan(offset, radii):
     assert hits >= 20
 
 
+@pytest.mark.parametrize("radii", [UNIT, EllipsoidRadii(2.0, 0.5, 1.0)])
+def test_a_large_mesh_of_ordinary_triangles_matches_full_scan(radii):
+    # A 6,000-unit heightfield of 300-unit quads: at cell size 4.0 its 800
+    # triangles would fill 14,821,216 grid entries, which a mesh-wide cap of
+    # 4,000,000 once refused.  Each is far inside the per-triangle bound.
+    rng = random.Random(53)
+    heights = [[40.0 * math.sin(0.3 * i) * math.cos(0.2 * j) + rng.uniform(-5.0, 5.0)
+                for j in range(21)] for i in range(21)]
+    tris = []
+    for i in range(20):
+        for j in range(20):
+            x0, x1, y0, y1 = 300.0 * i, 300.0 * (i + 1), 300.0 * j, 300.0 * (j + 1)
+            a, b = (x0, y0, heights[i][j]), (x1, y0, heights[i + 1][j])
+            c, d = (x1, y1, heights[i + 1][j + 1]), (x0, y1, heights[i][j + 1])
+            tris += [Triangle(a, b, c), Triangle(a, c, d)]
+    world = build_world(tris)
+    hits = 0
+    for _ in range(60):
+        tri = rng.choice(tris)
+        u, v = rng.random(), rng.random()
+        if u + v > 1.0:
+            u, v = 1.0 - u, 1.0 - v
+        on = tuple(a + u * (b - a) + v * (c - a) for a, b, c in zip(tri.a, tri.b, tri.c))
+        above = (on[0], on[1], on[2] + rng.uniform(1.5, 6.0) * radii.rz)
+        source = tuple(p / r for p, r in zip(above, radii.as_tuple()))
+        vel = (rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0), rng.uniform(-8.0, 1.0))
+        hits += _assert_same_as_scan(world, radii, source, vel) is not None
+    assert hits >= 20
+
+
 def _ulps_from(x, count):
     for _ in range(abs(count)):
         x = math.nextafter(x, math.inf if count > 0 else -math.inf)

@@ -107,6 +107,15 @@ def test_cli_names_radii_that_overflow_sphere_space(tmp_path, capsys, start, cul
     assert culprit in err and "1e-300" in err
 
 
+def test_cli_rejects_radii_that_widen_a_triangle(tmp_path, capsys):
+    # The 200-wide floor divided by 1e-5 is 2e7 wide in sphere space.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"mesh": {"builtin": "floor"}, "start": [0.0, 0.0, 3.0],
+                                "velocity": [0.0, 0.0, -1.0], "radii": [1e-5, 1.0, 1.0]}))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: radii (1e-05, 1.0, 1.0) widen a triangle")
+
+
 @pytest.mark.parametrize("change", [
     {"frames": None},
     {"epsilon": [0.01]},

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,12 +12,13 @@ from hypothesis import strategies as st
 
 from sweepslide.core import DegenerateTriangleError, Triangle
 from sweepslide.mesh import builtin_mesh
-from sweepslide.scenario import builtin_scenario
+from sweepslide.response import sphere_sweep
+from sweepslide.scenario import builtin_scenario, mesh_distances
 from sweepslide import world as world_module
 from sweepslide.world import (
     CELL_SIZE,
-    MAX_CELL_ENTRIES,
     MAX_CELLS_PER_TRIANGLE,
+    MAX_TRIANGLE_EXTENT,
     SCALAR_FILTER_CANDIDATES,
     SLAB_MARGIN,
     SWEEP_BOX_SLACK,
@@ -25,32 +27,83 @@ from sweepslide.world import (
 
 
 def test_rejects_a_grid_too_large_to_build():
-    # floor of size 1e10: (2.5e9 + 1)**2 cells, refused before any is made.
-    with pytest.raises(ValueError) as err:
+    # A floor of size 1e10, whose grid at 4.0 would hold 1.25e19 entries:
+    # its triangles are too wide for the narrowphase, and no cell is made.
+    with pytest.raises(ValueError, match=r"^row 0 of the mesh is wider than MAX_TRIANGLE_EXTENT "
+                                         r"\(4194304\.0\) along an axis: its box is "
+                                         r"\[-5000000000\.0, -5000000000\.0, 0\.0\] to "):
         build_world(builtin_mesh("floor", size=1e10))
-    message = str(err.value)
-    assert "12500000010000000002" in message
-    assert str(MAX_CELL_ENTRIES) in message
-    assert "cell size 4.0" in message
 
 
-def test_cell_entry_bound_counts_every_triangle():
-    # Each triangle covers 1001 x 1001 cells, under the bound alone; four
-    # of them together are past it.
-    wide = Triangle((0.0, 0.0, 0.5), (4000.0, 0.0, 0.5), (0.0, 4000.0, 0.5))
-    assert CELL_SIZE == 4.0
-    assert 1001 * 1001 <= MAX_CELL_ENTRIES < 4 * 1001 * 1001
-    with pytest.raises(ValueError, match="4008004 cell entries"):
-        build_world([wide] * 4)
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_the_extent_bound_is_per_triangle(axis):
+    # Any number of triangles as wide as the bound build, far from the
+    # origin too; one a hair wider along any axis is refused by its row.
+    def wide(width, shift=0.0):
+        ends = [[shift] * 3, [shift] * 3, [shift + 1.0] * 3]
+        ends[1][axis] += width
+        ends[2][axis] = shift
+        return Triangle(*map(tuple, ends))
+
+    fits = [wide(MAX_TRIANGLE_EXTENT), wide(MAX_TRIANGLE_EXTENT, -1.5e6)] * 4
+    assert len(build_world(fits).triangles) == 8
+    over = wide(math.nextafter(MAX_TRIANGLE_EXTENT, math.inf))
+    for mesh in (fits[:3] + [over] + fits[3:], _block(fits[:3] + [over])):
+        with pytest.raises(ValueError, match=r"^row 3 of the mesh is wider than"):
+            build_world(mesh)
 
 
 def test_an_entry_count_past_the_float_range_is_refused():
-    # Its per-axis cell counts multiply past the float range; the bound
-    # still refuses it, with the exact count, and numpy warns of nothing.
+    # Its per-axis cell counts would multiply past the float range; the
+    # triangle is far wider than the bound, and numpy warns of nothing.
     huge = Triangle((2e103, 2e103, 0.0), (0.0, 0.0, 3e103), (2e103, 2e103, 4.6e-8))
     for mesh in ([huge], np.array([huge.vertices()])):
-        with pytest.raises(ValueError, match="cell entries"):
-            build_world(mesh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^row 0 of the mesh is wider than"):
+                build_world(mesh)
+
+
+def _probe_walkers(world, width, seed=0):
+    """50 walkers spread along a strip *width* long, sliding for 10 frames:
+    the frames that do not keep 90 % of their commanded horizontal motion,
+    take a third contact or end closer than one radius."""
+    rng = random.Random(seed)
+    bad = []
+    for k in range(50):
+        pos = (width * (k + 0.5) / 50, rng.uniform(0.25, 0.75), 1.0 + rng.uniform(0.0, 0.5))
+        vel = (rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 0.4), rng.uniform(-0.04, 0.04),
+               -rng.uniform(0.05, 0.5))
+        for frame in range(10):
+            res = sphere_sweep(world, pos, vel)
+            moved = math.hypot(res.final_pos[0] - pos[0], res.final_pos[1] - pos[1])
+            clearance = mesh_distances([res.final_pos], world.vertices)[0]
+            slid = moved >= 0.9 * math.hypot(vel[0], vel[1])
+            if res.iterations > 2 or not slid or clearance < 1.0 - 1e-6:
+                bad.append((k, frame))
+            pos = res.final_pos
+    return bad
+
+
+@pytest.mark.parametrize("width", [
+    MAX_TRIANGLE_EXTENT,
+    # The narrowphase's edge test cancels here (ROADMAP item 5); once that
+    # is fixed this passes and the bound can be raised.
+    pytest.param(2.0 * MAX_TRIANGLE_EXTENT, marks=pytest.mark.xfail(strict=True)),
+], ids=["bound", "twice"])
+def test_the_bound_is_where_the_sphere_still_slides(width, monkeypatch):
+    monkeypatch.setattr(world_module, "MAX_TRIANGLE_EXTENT", width)
+    # A floor that wide: the sphere slides at 1 + epsilon with one contact a frame.
+    world = build_world(builtin_mesh("floor", size=width))
+    pos = (3.0, 2.0, 2.0)
+    for _ in range(10):
+        res = sphere_sweep(world, pos, (0.3, 0.1, -0.5))
+        assert res.iterations <= 1
+        pos = res.final_pos
+    assert pos == pytest.approx((6.0, 3.0, 1.005), abs=1e-9)
+    # A two-triangle strip one unit wide whose edges are that long.
+    a, b, c, d = (0.0, 0.0, 0.0), (width, 0.0, 0.0), (width, 1.0, 0.0), (0.0, 1.0, 0.0)
+    assert _probe_walkers(build_world([Triangle(a, b, c), Triangle(a, c, d)]), width) == []
 
 
 @pytest.mark.parametrize("tris", [
