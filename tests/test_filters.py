@@ -1,17 +1,25 @@
-"""The box and plane-slab filters never change a query's answer.
+"""The box, plane-slab and sphere filters never change a query's answer.
 
 ``check_collision`` hands the narrowphase only the grid candidates that
-survive ``World.sweep_indices``.  Every test here compares it, bit for bit
+survive ``World.sweep_indices``.  Most tests here compare it, bit for bit
 (same ``t``, same contact point, same index), with a scan of every
-triangle in the world, and checks that every triangle the scan hits
-survived the filters.
+triangle in the world, and check that every triangle the scan hits
+survived the filters.  The sphere test, which only short grid answers
+get, also has a property of its own: every triangle it drops gets no
+contact from the narrowphase.
 """
 
 import math
 import random
+from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sweepslide.detect
+from sweepslide import world as world_module
 from sweepslide.core import Triangle, add, distance, sub
 from sweepslide.detect import check_collision, closest_point_on_triangle, sweep_unit_sphere_triangle
 from sweepslide.ellipsoid import EllipsoidRadii, EllipsoidWorldView, triangle_to_sphere_space
@@ -235,3 +243,141 @@ def test_filters_drop_box_misses_and_slab_clears():
     box = ((-1.01, -1.01, 0.49), (1.91, 1.91, 2.51))
     assert world.query_candidates(box) == [0, 1, 2]
     assert world.sweep_indices(source, end) == [2]
+
+
+# --- the sphere test ---
+
+def _unit(v):
+    n = math.sqrt(sum(x * x for x in v))
+    return tuple(x / n for x in v)
+
+
+def _across(u, rng):
+    """A random unit vector square to the unit vector *u*."""
+    w = _unit(tuple(rng.gauss(0.0, 1.0) for _ in range(3)))
+    k = sum(a * b for a, b in zip(u, w))
+    return _unit(tuple(b - k * a for a, b in zip(u, w)))
+
+
+@st.composite
+def _sphere_cases(draw):
+    """A few small triangles, radii (``None``, or axis ratios up to 1e3), and
+    world-space sweeps: random fast ones and grazing ones.
+
+    The mesh lies near the origin or up to 1e8 from it.  A grazing sweep
+    passes, at its middle, ``r + R * (1 + k * 1e-9)`` from an equilateral
+    triangle's centre along the direction of one of its vertices, where
+    ``r`` is the triangle's circumradius, ``R`` the largest radius (1 for a
+    unit world), ``k`` is -1, 0 or 1, and for a view the vertex lies along
+    the axis of the largest radius, so that the ellipsoid comes within
+    ``k * R * 1e-9`` of that vertex.
+    """
+    offset = tuple(draw(st.sampled_from((0.0, 2.5, -1e4, 1e6, -1e8, 1e8))) for _ in range(3))
+    radii = draw(st.none() | st.tuples(*[st.floats(-1.5, 1.5).map(lambda e: 10.0 ** e)] * 3))
+    big = 1.0 if radii is None else max(radii)
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    tris, sweeps = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        size = rng.uniform(0.05, 3.0)
+        centre = tuple(o + rng.uniform(-4.0, 4.0) for o in offset)
+        if rng.random() < 0.5:
+            try:
+                tris.append(Triangle(*(tuple(c + rng.uniform(-size, size) for c in centre)
+                                       for _ in range(3))))
+            except ValueError:
+                pass  # collinear
+            continue
+        # An equilateral triangle of circumradius *size* and one grazing sweep.
+        if radii is None:
+            u = _unit(tuple(rng.gauss(0.0, 1.0) for _ in range(3)))
+        else:
+            axis = radii.index(big)
+            u = tuple(rng.choice((-1.0, 1.0)) if k == axis else 0.0 for k in range(3))
+        w = _across(u, rng)
+        v = tuple(math.cos(2.0 * math.pi / 3.0) * a + math.sin(2.0 * math.pi / 3.0) * b
+                  for a, b in zip(u, w))
+        x = tuple(math.cos(2.0 * math.pi / 3.0) * a - math.sin(2.0 * math.pi / 3.0) * b
+                  for a, b in zip(u, w))
+        tris.append(Triangle(*(tuple(c + size * e for c, e in zip(centre, d)) for d in (u, v, x))))
+        gap = size + big * (1.0 + rng.choice((-1, 0, 1)) * 1e-9)
+        closest = tuple(c + gap * e for c, e in zip(centre, u))
+        along = _across(u, rng)
+        length = rng.uniform(0.5, 6.0) * big
+        before = rng.uniform(0.2, 0.8) * length
+        start = tuple(p - before * d for p, d in zip(closest, along))
+        sweeps.append((start, tuple(length * d for d in along)))
+    if not tris:
+        tris.append(Triangle(offset, add(offset, (1.0, 0.0, 0.0)), add(offset, (0.0, 1.0, 0.0))))
+    for _ in range(6):
+        tri = rng.choice(tris)
+        start = tuple(c + rng.uniform(-3.0, 3.0) * big for c in tri.a)
+        sweeps.append((start, tuple(rng.uniform(-6.0, 6.0) * big for _ in range(3))))
+    return tris, radii, sweeps
+
+
+def _capsule_gap(world, index, start, end, reach):
+    """The exact squared distance from the segment to sphere *index*'s centre,
+    and the exact squared bound ``(radius + reach)**2``, from the floats the
+    filter reads."""
+    cx, cy, cz, r = (Fraction(v) for v in world._spheres[:, index].tolist())
+    s, e = [Fraction(v) for v in start], [Fraction(v) for v in end]
+    d = [b - a for a, b in zip(s, e)]
+    p = [cx - s[0], cy - s[1], cz - s[2]]
+    dd = sum(x * x for x in d)
+    t = min(max(sum(a * b for a, b in zip(p, d)) / dd, 0), 1) if dd else 0
+    gap = sum((a - t * b) ** 2 for a, b in zip(p, d))
+    return gap, (r + Fraction(reach)) ** 2
+
+
+@given(_sphere_cases())
+@settings(max_examples=200, deadline=None)
+def test_the_sphere_test_drops_only_triangles_the_sweep_misses(case):
+    tris, radii, sweeps = case
+    world = build_world(tris)
+    scale = (1.0, 1.0, 1.0) if radii is None else radii
+    if radii is not None:
+        view_radii = EllipsoidRadii(*radii)
+        EllipsoidWorldView(world, view_radii)  # the view accepts these radii
+        tris = [triangle_to_sphere_space(t, view_radii) for t in tris]
+    reach = SLAB_MARGIN * max(scale)
+    for world_start, world_vel in sweeps:
+        source = tuple(v / r for v, r in zip(world_start, scale))
+        vel = tuple(v / r for v, r in zip(world_vel, scale))
+        end = add(source, vel)
+        # Box and slab alone (the numpy path), and with the sphere test.
+        with mock.patch.object(world_module, "SCALAR_FILTER_CANDIDATES", -1):
+            box_and_slab = world.sweep_indices(source, end, radii)
+        with mock.patch.object(world_module, "SCALAR_FILTER_CANDIDATES", len(tris)):
+            kept = world.sweep_indices(source, end, radii)
+        assert set(kept) <= set(box_and_slab)
+        for index in set(box_and_slab) - set(kept):
+            assert sweep_unit_sphere_triangle(source, vel, tris[index], limit=1.0) is None
+        # It is the capsule test, up to the filter's rounding: a sphere the
+        # segment clears by more is dropped, one it comes well within is kept.
+        segment = [tuple(v * r for v, r in zip(p, scale)) for p in (source, end)]
+        for index in box_and_slab:
+            gap, bound = _capsule_gap(world, index, *segment, reach)
+            if gap > bound * (1 + Fraction(1, 10 ** 9)):
+                assert index not in kept
+            elif gap < bound * (1 - Fraction(1, 10 ** 9)):
+                assert index in kept
+
+
+def test_a_fast_sweep_past_a_small_triangle_reaches_no_narrowphase(monkeypatch):
+    # The sweep's box meets the triangle's box and the sweep stays within
+    # the slab of its plane, z = 0, but the segment passes 1.51 from the
+    # centre of a sphere of radius 0.15.
+    world = build_world([Triangle((0.0, 0.0, 0.0), (0.2, 0.0, 0.0), (0.0, 0.2, 0.0))])
+    source, vel = (-3.0, 1.0, 0.5), (4.0, -4.0, 0.0)
+    calls = []
+    original = sweepslide.detect.sweep_unit_sphere_triangle
+
+    def counted(*args, **kw):
+        calls.append(args[2])
+        return original(*args, **kw)
+
+    monkeypatch.setattr(sweepslide.detect, "sweep_unit_sphere_triangle", counted)
+    assert check_collision(world, source, vel) is None
+    assert calls == []
+    with mock.patch.object(world_module, "SCALAR_FILTER_CANDIDATES", -1):
+        assert world.sweep_indices(source, add(source, vel)) == [0]

@@ -214,12 +214,21 @@ def test_box_tests_are_inclusive():
     touching = ((4.0, 4.0, 0.0), (12.0, 12.0, 8.0))
     assert world.brute_force_indices(touching) == [0]
     assert world.brute_force_indices(((4.0 + 1e-12, 0.0, 0.0), (12.0, 12.0, 8.0))) == []
-    # A sweep whose padded box only touches it, crossing its plane inside
-    # the slab.
-    start, end = (5.01, 5.01, 0.5), (5.01, 5.01, 1.5)
+
+
+@pytest.mark.parametrize("limit", [-1, SCALAR_FILTER_CANDIDATES])
+def test_sweep_box_tests_are_inclusive(limit, monkeypatch):
+    # A sweep whose padded box only touches the triangle's box at x = 4,
+    # crossing its plane inside the slab, on the numpy path and on the
+    # Python-float path.  The triangle's sphere (centre (8/3, 0, 0), radius
+    # 3.28) reaches past x = 4, so the sphere test keeps it and only the box
+    # test decides.
+    world = build_world([Triangle((0.0, 0.0, 0.0), (4.0, -3.0, 0.0), (4.0, 3.0, 0.0))])
+    monkeypatch.setattr(world_module, "SCALAR_FILTER_CANDIDATES", limit)
+    start, end = (5.01, 0.0, -0.5), (5.01, 0.0, 0.5)
     assert start[0] - (1.0 + SWEEP_BOX_SLACK) == 4.0
     assert world.sweep_indices(start, end) == [0]
-    assert world.sweep_indices((5.02, 5.02, 0.5), (5.02, 5.02, 1.5)) == []
+    assert world.sweep_indices((5.02, 0.0, -0.5), (5.02, 0.0, 0.5)) == []
 
 
 def test_cells_beyond_int64_are_exact():
@@ -297,11 +306,14 @@ def test_a_long_strip_fills_a_few_cells():
     assert world.sweep_indices((2e6, 0.5, 3.0), (2e6 + 1.0, 0.5, 3.0)) == []
 
 
-def _exact_scan(world, start, end, radii=None):
-    """``sweep_indices``' two filters applied to every triangle, with no grid.
+def _exact_scan(world, start, end, radii=None, spheres=True):
+    """``sweep_indices``' filters applied to every triangle, with no grid.
 
     Each plane distance is ``((nx*x + ny*y) + nz*z) + d`` and each margin
-    ``SLAB_MARGIN * |n*r|``, elementwise in that order.
+    ``SLAB_MARGIN * |n*r|``, elementwise in that order.  With *spheres*
+    (the short path's filter), a triangle is also dropped when the
+    segment's closest point to its sphere's centre lies farther than
+    ``radius + SLAB_MARGIN * max(radii)``, in the same operation order.
     """
     pad = 1.0 + SWEEP_BOX_SLACK
     lo = tuple(min(s, e) - pad for s, e in zip(start, end))
@@ -314,8 +326,31 @@ def _exact_scan(world, start, end, radii=None):
         margin = SLAB_MARGIN * np.sqrt(wx * wx + wy * wy + wz * wz)
     d0 = nx * start[0] + ny * start[1] + nz * start[2] + d
     d1 = nx * end[0] + ny * end[1] + nz * end[2] + d
-    slab = (np.minimum(d0, d1) <= margin) & (np.maximum(d0, d1) >= -margin)
-    return [i for i in world.brute_force_indices((lo, hi)) if slab[i]]
+    keep = (np.minimum(d0, d1) <= margin) & (np.maximum(d0, d1) >= -margin)
+    if spheres:
+        cx, cy, cz, r = world._spheres
+        dx, dy, dz = end[0] - start[0], end[1] - start[1], end[2] - start[2]
+        dd = dx * dx + dy * dy + dz * dz
+        px, py, pz = cx - start[0], cy - start[1], cz - start[2]
+        along = px * dx + py * dy + pz * dz
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(along <= 0.0, 0.0, np.where(along >= dd, 1.0, along / dd))
+        px, py, pz = px - t * dx, py - t * dy, pz - t * dz
+        bound = r + SLAB_MARGIN * (1.0 if radii is None else max(radii))
+        keep &= px * px + py * py + pz * pz <= bound * bound
+    return [i for i in world.brute_force_indices((lo, hi)) if keep[i]]
+
+
+def _default_path(world, start, end, radii=None):
+    """``_exact_scan`` of the path ``sweep_indices`` takes: the Python-float
+    one when the grid answers the sweep's box with few enough triangles."""
+    pad = 1.0 + SWEEP_BOX_SLACK
+    box = [tuple(min(s, e) - pad for s, e in zip(start, end)),
+           tuple(max(s, e) + pad for s, e in zip(start, end))]
+    if radii is not None:
+        box = [tuple(v * r for v, r in zip(p, radii)) for p in box]
+    short = len(world.query_candidates(box)) <= SCALAR_FILTER_CANDIDATES
+    return _exact_scan(world, start, end, radii, spheres=short)
 
 
 @st.composite
@@ -350,10 +385,14 @@ def test_both_filter_paths_are_the_exact_scan(case):
     world = build_world(tris)
     assert len(world._cells) == 1
     for start, end in sweeps:
-        want = _exact_scan(world, start, end, radii)
-        # The path the world picks for this many triangles, then each path.
-        assert world.sweep_indices(start, end, radii) == want
-        for limit in (-1, len(tris)):
+        # The numpy path keeps box and slab; the Python-float path also
+        # runs the sphere test.
+        numpy_path = _exact_scan(world, start, end, radii, spheres=False)
+        float_path = _exact_scan(world, start, end, radii)
+        assert set(float_path) <= set(numpy_path)
+        # The path the world picks for this grid answer, then each path.
+        assert world.sweep_indices(start, end, radii) == _default_path(world, start, end, radii)
+        for limit, want in ((-1, numpy_path), (len(tris), float_path)):
             with mock.patch.object(world_module, "SCALAR_FILTER_CANDIDATES", limit):
                 assert world.sweep_indices(start, end, radii) == want, limit
 
@@ -371,8 +410,13 @@ def test_scalar_rows_are_made_once_when_first_read():
     assert len(made) <= SCALAR_FILTER_CANDIDATES
     row = world._rows[made[0]]
     assert world.sweep_indices(start, end) == found and world._rows[made[0]] is row
-    lo, hi = world.vertices[made[0]].min(axis=0), world.vertices[made[0]].max(axis=0)
-    assert row == (*lo.tolist(), *hi.tolist(), *world._planes[:, made[0]].tolist())
+    vertices = world.vertices[made[0]]
+    lo, hi = vertices.min(axis=0), vertices.max(axis=0)
+    centroid = (vertices[0] + vertices[1] + vertices[2]) / 3
+    radius = np.sqrt(((vertices - centroid) ** 2).sum(axis=1)).max()
+    assert len(row) == 14
+    assert row[:10] == (*lo.tolist(), *hi.tolist(), *world._planes[:, made[0]].tolist())
+    assert row[10:] == (*centroid.tolist(), radius)
 
 
 def test_concurrent_sweeps_fill_rows_benignly():
@@ -440,7 +484,7 @@ def test_grown_cells_answer_every_query(tris, data):
         box = (tuple(v - h for v, h in zip(start, half)), tuple(v + h for v, h in zip(start, half)))
         got = world.query_candidates(box)
         assert set(world.brute_force_indices(box)) <= set(got)
-        assert world.sweep_indices(start, end) == _exact_scan(world, start, end)
+        assert world.sweep_indices(start, end) == _default_path(world, start, end)
 
 
 # --- worlds built from a vertex block ---
