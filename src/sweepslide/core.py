@@ -231,9 +231,9 @@ def triangle_normals(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the boolean mask of accepted rows; a rejected row's normal is garbage.
     """
     (ax, ay, az), (bx, by, bz), (cx, cy, cz) = np.moveaxis(vertices, 0, -1)
-    abx, aby, abz = bx - ax, by - ay, bz - az
-    acx, acy, acz = cx - ax, cy - ay, cz - az
     with np.errstate(all="ignore"):  # Python floats overflow to inf quietly too
+        abx, aby, abz = bx - ax, by - ay, bz - az
+        acx, acy, acz = cx - ax, cy - ay, cz - az
         nx = aby * acz - abz * acy
         ny = abz * acx - abx * acz
         nz = abx * acy - aby * acx

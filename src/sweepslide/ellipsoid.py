@@ -4,6 +4,9 @@ Dividing every coordinate by the ellipsoid's semi-axes turns the ellipsoid
 into a unit sphere; the whole sweep pipeline then runs in that scaled
 space and the final position is multiplied back.  Only diagonal scaling is
 supported, which keeps the transform exactly invertible componentwise.
+A world scales each triangle at most once per radii class: the views of
+one world with equal radii share one store of sphere-space triangles,
+which lives as long as any of them does.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Triangle, Vec3
+import numpy as np
+
+from .core import Triangle, Vec3, triangle_normals
 from .world import MAX_TRIANGLE_EXTENT, World
 
 __all__ = [
@@ -67,38 +72,78 @@ def triangle_to_sphere_space(tri: Triangle, radii: EllipsoidRadii) -> Triangle:
     )
 
 
+class _SphereTriangles(dict):
+    """One world's sphere-space triangles for one radii class, by triangle index."""
+
+    __slots__ = ("__weakref__",)
+
+
+def _sphere_triangles(world: World, radii: EllipsoidRadii) -> _SphereTriangles:
+    """The store *world* keeps for *radii*, made (and the radii checked) if no view holds it.
+
+    Raises ``ValueError`` when the radii widen a triangle's box past
+    ``MAX_TRIANGLE_EXTENT`` or flatten a triangle (one
+    :func:`triangle_to_sphere_space` would reject) in sphere space.
+    """
+    key = radii.as_tuple()
+    store = world._sphere_space.get(key)
+    if store is not None:
+        return store
+    if not all(e <= MAX_TRIANGLE_EXTENT * r for e, r in zip(world._extent, key)):
+        raise ValueError(f"radii {key!r} widen a triangle of the world past "
+                         f"MAX_TRIANGLE_EXTENT ({MAX_TRIANGLE_EXTENT!r}) in sphere space: "
+                         f"its widest box sides are {world._extent!r}")
+    # triangle_normals takes a row whose division overflowed as non-finite.
+    with np.errstate(all="ignore"):
+        scaled = world.vertices / np.array(key)
+    flattened = np.flatnonzero(~triangle_normals(scaled)[1])
+    if flattened.size:
+        raise ValueError(f"radii {key!r} flatten {flattened.size} triangle(s) in sphere space "
+                         f"(collinear, non-finite or out of range), the first at index "
+                         f"{flattened[0]}")
+    store = world._sphere_space[key] = _SphereTriangles()
+    return store
+
+
 class EllipsoidWorldView:
     """Sphere-space window onto a world-space :class:`World`.
 
     Sweeps arrive in sphere space.  The world filters them with its own
     arrays (the box in world space, the plane slab in sphere space), and
-    only the surviving triangles are scaled, on demand.  The underlying
-    world stays untouched, so one world can be shared by entities with
-    different radii; entities that sweep concurrently should each use their
-    own view (the transform cache is not locked).  Radii that widen a triangle's box past
-    ``MAX_TRIANGLE_EXTENT`` in sphere space raise ``ValueError`` here.
+    only the surviving triangles are scaled, on demand, into a store the
+    world keeps per radii tuple.  Every view of that world with those radii
+    shares the store, so a triangle is scaled once however many entities
+    of one size sweep it; the store lives while any of its views does, so
+    memory is bounded by one sphere-space copy of the world per radii class
+    alive.  The underlying world stays untouched, so one world can be
+    shared by entities with different radii.  Views may sweep concurrently:
+    two may both scale a triangle the store lacks, and either copy is the
+    same.  The first view of a radii class checks them against every
+    triangle: radii that widen a triangle's box past
+    ``MAX_TRIANGLE_EXTENT`` or flatten a triangle in sphere space raise
+    ``ValueError`` here, naming the radii (and for flattening, the count and
+    the first index), not mid-frame.
     """
 
-    __slots__ = ("world", "radii", "_cache")
+    __slots__ = ("world", "radii", "_triangles")
 
     def __init__(self, world: World, radii: EllipsoidRadii):
-        if not all(e <= MAX_TRIANGLE_EXTENT * r for e, r in zip(world._extent, radii.as_tuple())):
-            raise ValueError(f"radii {radii.as_tuple()!r} widen a triangle of the world past "
-                             f"MAX_TRIANGLE_EXTENT ({MAX_TRIANGLE_EXTENT!r}) in sphere space: "
-                             f"its widest box sides are {world._extent!r}")
         self.world = world
         self.radii = radii
-        self._cache: dict[int, Triangle] = {}
+        # None for the unit sphere, which reads the world's own triangles.
+        self._triangles = None if radii.is_unit else _sphere_triangles(world, radii)
 
     def candidates(self, start: Vec3, end: Vec3) -> list[tuple[int, Triangle]]:
-        if self.radii.is_unit:
+        store = self._triangles
+        if store is None:
             return self.world.candidates(start, end)
-        cache = self._cache
+        radii = self.radii
+        triangles = self.world.triangles
         out = []
-        for index in self.world.sweep_indices(start, end, self.radii.as_tuple()):
-            tri = cache.get(index)
+        for index in self.world.sweep_indices(start, end, radii.as_tuple()):
+            tri = store.get(index)
             if tri is None:
-                tri = triangle_to_sphere_space(self.world.triangles[index], self.radii)
-                cache[index] = tri
+                # Looked up in this module each time, so a rebinding of it sees every transform.
+                tri = store[index] = triangle_to_sphere_space(triangles[index], radii)
             out.append((index, tri))
         return out

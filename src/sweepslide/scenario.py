@@ -37,7 +37,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import Triangle, Vec3, as_type, check_stand_off, distance, dot, triangle_normals
+from .core import Triangle, Vec3, as_type, check_stand_off, distance, dot
 from .ellipsoid import EllipsoidRadii, EllipsoidWorldView, from_sphere_space, to_sphere_space
 from .legacy import LegacyConfig, collide_with_world_legacy
 from .mesh import builtin_mesh, load_obj_mesh, load_obj_vertices
@@ -526,13 +526,9 @@ def run_scenario(scenario: Scenario) -> dict[str, list[TrajectoryRecord]]:
             f"scenario {scenario.name!r}: the mesh overflows once divided by radii "
             f"{radii.as_tuple()!r}"
         ) from None
-    flattened = np.flatnonzero(~triangle_normals(sphere_tris)[1])
-    if flattened.size:
-        raise ValueError(
-            f"scenario {scenario.name!r}: radii {radii.as_tuple()!r} flatten {flattened.size} "
-            f"triangle(s) in sphere space (collinear, non-finite or out of range), the first "
-            f"at index {flattened[0]}"
-        )
+    # One view for both streams: they run in turn and share its scaled
+    # triangles.  Making it refuses radii that flatten or widen a triangle.
+    view = EllipsoidWorldView(world, radii)
     if start_dist < 1.0 - 1e-6:
         raise ValueError(
             f"scenario {scenario.name!r}: start position penetrates the mesh "
@@ -544,8 +540,6 @@ def run_scenario(scenario: Scenario) -> dict[str, list[TrajectoryRecord]]:
     legacy_cfg = LegacyConfig(very_close_dist=scenario.epsilon,
                               max_recursion=scenario.legacy_max_recursion)
 
-    # One view for both streams: they run in turn and share its scaled triangles.
-    view = EllipsoidWorldView(world, radii)
     steps: dict[str, list] = {}
     for algo in algorithms:
         pos_sphere = start_s

@@ -9,12 +9,12 @@ than ``MAX_CELLS_PER_TRIANGLE`` cells each on average.  A mesh of any size
 builds; a triangle whose box is wider than ``MAX_TRIANGLE_EXTENT`` along an
 axis is refused, because the narrowphase loses precision on it.
 
-The world also keeps every triangle's box, plane and bounding sphere as
-float64 arrays, so the grid's answer to a sweep can be cut down by sound
-filters before any triangle reaches the scalar narrowphase, and its
-vertices as one ``(n, 3, 3)`` float64 block for the exhaustive audit,
-which reads no grid but shares the spheres' one implementation
-(:func:`_bounding_spheres`).  An answer of at most
+The world also keeps every triangle's box and plane as float64 arrays, and
+its bounding sphere once the first short answer needs it, so the grid's
+answer to a sweep can be cut down by sound filters before any triangle
+reaches the scalar narrowphase, and its vertices as one ``(n, 3, 3)``
+float64 block for the exhaustive audit, which reads no grid but shares the
+spheres' one implementation (:func:`_bounding_spheres`).  An answer of at most
 ``SCALAR_FILTER_CANDIDATES`` triangles is filtered in one Python-float
 loop over per-triangle rows, each made when first read, since numpy's cost
 per call outweighs its cost per triangle there: an exact box test, a plane
@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from itertools import chain
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -168,31 +169,36 @@ class World:
     so one ``<=`` against ``(hi, -lo)`` of a query box is the inclusive
     overlap test.  Column ``i`` of ``_planes`` is ``(n, -n.a)``, so
     ``(p, 1)`` times it is the signed distance of ``p`` from the plane.
-    Column ``i`` of ``_spheres`` is the centre and radius of a sphere that
-    holds triangle ``i`` (:func:`_bounding_spheres`).  Row ``i`` of
-    ``vertices`` is triangle ``i``'s ``(a, b, c)``.  Entry ``i`` of
+    Column ``i`` of ``_sphere_columns()`` is the centre and radius of a
+    sphere that holds triangle ``i`` (:func:`_bounding_spheres`).  Row ``i``
+    of ``vertices`` is triangle ``i``'s ``(a, b, c)``.  Entry ``i`` of
     ``_rows`` is ``None`` or triangle ``i``'s box, plane and sphere as
     Python floats (see ``_row``).  ``_extent`` is the widest box side of
-    any triangle along each axis.
+    any triangle along each axis.  ``_sphere_space`` holds the ellipsoid
+    views' sphere-space triangles, one store per radii tuple, each kept
+    only while a view of those radii is alive (see
+    :class:`~sweepslide.ellipsoid.EllipsoidWorldView`).
     """
 
     __slots__ = ("triangles", "vertices", "_cell_size", "_cells", "_boxes", "_planes",
-                 "_spheres", "_rows", "_extent")
+                 "_spheres", "_rows", "_extent", "_sphere_space")
 
     def __init__(self, triangles: Sequence[Triangle], vertices: np.ndarray, cell_size: float,
                  cells: dict[tuple[int, int, int], list[int]],
-                 boxes: np.ndarray, planes: np.ndarray, spheres: np.ndarray, extent: Vec3):
+                 boxes: np.ndarray, planes: np.ndarray, extent: Vec3):
         self.triangles = triangles
         self.vertices = vertices
         self._cell_size = cell_size
         self._cells = cells
         self._boxes = boxes
         self._planes = planes
-        self._spheres = spheres
         self._extent = extent
+        # Made by the first _row: only the short-list filter reads them.
+        self._spheres: np.ndarray | None = None
         # Each triangle's _row, made when the scalar filter first reads it.
         # Concurrent sweeps may both make one; either copy is the same.
         self._rows: list[tuple[float, ...] | None] = [None] * boxes.shape[1]
+        self._sphere_space: WeakValueDictionary = WeakValueDictionary()
 
     @property
     def cell_size(self) -> float:
@@ -310,7 +316,17 @@ class World:
         """Triangle *index*'s box, plane and sphere as floats: ``(lo, hi, n, -n.a, c, r)``."""
         x0, y0, z0, x1, y1, z1 = self._boxes[:, index].tolist()
         return (x0, y0, z0, -x1, -y1, -z1, *self._planes[:, index].tolist(),
-                *self._spheres[:, index].tolist())
+                *self._sphere_columns()[:, index].tolist())
+
+    def _sphere_columns(self) -> np.ndarray:
+        """Each triangle's bounding sphere as a ``(4, n)`` column block, made on the first call.
+
+        Concurrent first calls may both make it; either copy is the same.
+        """
+        spheres = self._spheres
+        if spheres is None:
+            spheres = self._spheres = np.vstack(_bounding_spheres(self.vertices))
+        return spheres
 
     def candidates(self, start: Vec3, end: Vec3) -> list[tuple[int, Triangle]]:
         """``(index, triangle)`` pairs for ``sweep_indices(start, end)``."""
@@ -441,7 +457,6 @@ def build_world(triangles: Sequence[Triangle] | np.ndarray) -> World:
                          f"({MAX_TRIANGLE_EXTENT!r}) along an axis: its box is "
                          f"{lo[index].tolist()!r} to {hi[index].tolist()!r}")
     offset = normal[:, 0] * a[:, 0] + normal[:, 1] * a[:, 1] + normal[:, 2] * a[:, 2]
-    centroids, radii = _bounding_spheres(vertices)
     size = CELL_SIZE
     entries = _cell_entries(lo, hi, size)
     while entries > MAX_CELLS_PER_TRIANGLE * count:
@@ -460,5 +475,5 @@ def build_world(triangles: Sequence[Triangle] | np.ndarray) -> World:
                         cells.setdefault((ix, iy, iz), []).append(index)
         # Appending in index order already leaves each bucket sorted ascending.
     return World(tris, vertices, size, cells, np.hstack((lo, -hi)).T.copy(),
-                 np.column_stack((normal, -offset)).T.copy(), np.vstack((centroids, radii)),
+                 np.column_stack((normal, -offset)).T.copy(),
                  tuple((hi - lo).max(axis=0, initial=0.0).tolist()))

@@ -73,3 +73,18 @@ def test_tracer_hooks_fire_on_a_world_read_from_an_obj_file(heightfield_obj):
     assert len(queried) == 1 and not isinstance(queried[0].triangles, tuple)
     assert traced == plain
     assert min(r.min_mesh_distance for records in plain.values() for r in records) < 1.1
+
+
+def test_the_transform_counter_sees_each_triangle_a_radii_class_scales_once():
+    # The counter rebinds ellipsoid.triangle_to_sphere_space; views read it
+    # from the module, so it sees every transform, and a second view of the
+    # same radii sweeping the same frame finds every triangle scaled.
+    world = build_world(builtin_mesh("random_soup", n=60, seed=5, extent=6.0))
+    radii = EllipsoidRadii(2.0, 1.0, 0.5)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        views = [EllipsoidWorldView(world, radii) for _ in range(2)]
+        frames = [sphere_sweep(view, START, VELOCITY) for view in views]
+    assert tracer.problems == [] and frames[0] == frames[1]
+    assert tracer.counts["ellipsoid.transforms"] == len(views[0]._triangles) > 0
+    assert tracer.counts["ellipsoid.scaled_candidates"] > len(views[0]._triangles)

@@ -1,11 +1,14 @@
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sweepslide import ellipsoid
 from sweepslide.core import Triangle, dot, norm, sub
 from sweepslide.detect import check_collision
+from sweepslide.legacy import collide_with_world_legacy
 from sweepslide.ellipsoid import (
     EllipsoidRadii,
     EllipsoidWorldView,
@@ -15,7 +18,7 @@ from sweepslide.ellipsoid import (
 )
 from sweepslide.mesh import builtin_mesh
 from sweepslide.response import sphere_sweep
-from sweepslide.world import MAX_TRIANGLE_EXTENT, build_world
+from sweepslide.world import MAX_TRIANGLE_EXTENT, SCALAR_FILTER_CANDIDATES, build_world
 
 UNIT = EllipsoidRadii(1.0, 1.0, 1.0)
 
@@ -147,3 +150,124 @@ def test_a_view_refuses_radii_that_widen_a_triangle_past_the_bound(axis):
     with pytest.raises(ValueError, match=r"^radii .* widen a triangle of the world past "
                                          r"MAX_TRIANGLE_EXTENT \(4194304\.0\) in sphere space"):
         EllipsoidWorldView(world, EllipsoidRadii(*radii))
+
+
+# --- the sphere-space triangle store a world keeps per radii class ---
+
+SOUP = dict(n=60, seed=21, extent=6.0)
+SQUASHED = EllipsoidRadii(2.0, 1.0, 0.5)
+SOUP_SWEEPS = [((0.0, 0.0, 9.0), (0.0, 0.0, -12.0)), ((0.0, 0.0, 9.0), (1.0, -2.0, -9.0)),
+               ((4.0, -3.0, 6.0), (-6.0, 5.0, -8.0)), ((-5.0, 5.0, -5.0), (9.0, -9.0, 9.0))]
+
+
+def _sweep_all(view):
+    return [sphere_sweep(view, start, vel) for start, vel in SOUP_SWEEPS]
+
+
+def test_views_of_one_radii_class_share_each_scaled_triangle():
+    world = build_world(builtin_mesh("random_soup", **SOUP))
+    first, second = EllipsoidWorldView(world, SQUASHED), EllipsoidWorldView(world, SQUASHED)
+    _sweep_all(first)
+    store = dict(first._triangles)
+    assert store and second._triangles is first._triangles
+    # The second view scales nothing: it reads the very objects the first made.
+    assert _sweep_all(second) == _sweep_all(first)
+    assert second._triangles.keys() == store.keys()
+    assert all(second._triangles[index] is tri for index, tri in store.items())
+    for start, vel in SOUP_SWEEPS:
+        end = tuple(s + v for s, v in zip(start, vel))
+        assert all(tri is store[index] for view in (first, second)
+                   for index, tri in view.candidates(start, end))
+    for index, tri in store.items():
+        assert tri == triangle_to_sphere_space(world.triangles[index], SQUASHED)
+
+
+def test_other_radii_and_other_worlds_share_nothing():
+    tris = builtin_mesh("random_soup", **SOUP)
+    world, other_world = build_world(tris), build_world(tris)
+    views = [EllipsoidWorldView(world, SQUASHED),
+             EllipsoidWorldView(world, EllipsoidRadii(0.5, 1.0, 2.0)),
+             EllipsoidWorldView(other_world, SQUASHED)]
+    for view in views:
+        _sweep_all(view)
+    stores = [view._triangles for view in views]
+    assert all(stores) and len({id(store) for store in stores}) == 3
+    made = [set(map(id, store.values())) for store in stores]
+    assert not (made[0] & made[1] or made[0] & made[2] or made[1] & made[2])
+    # The unit sphere reads the world's own triangles and keeps no store.
+    assert EllipsoidWorldView(world, UNIT)._triangles is None
+    assert set(world._sphere_space) == {SQUASHED.as_tuple(), (0.5, 1.0, 2.0)}
+
+
+def test_a_store_lives_as_long_as_its_last_view(monkeypatch):
+    scaled = []
+
+    def counted(tri, radii):
+        scaled.append(tri)
+        return triangle_to_sphere_space(tri, radii)
+
+    monkeypatch.setattr(ellipsoid, "triangle_to_sphere_space", counted)
+    world = build_world(builtin_mesh("random_soup", **SOUP))
+    views = [EllipsoidWorldView(world, SQUASHED) for _ in range(3)]
+    assert [_sweep_all(view) for view in views]
+    store = weakref.ref(views[0]._triangles)
+    # One triangle per index, however many views scaled through it.
+    assert len(scaled) == len(store()) > 0
+    assert sorted(map(id, scaled)) == sorted(id(world.triangles[i]) for i in store())
+    del views[:2]
+    assert store() is not None and world._sphere_space[SQUASHED.as_tuple()] is store()
+    views.clear()
+    assert store() is None and len(world._sphere_space) == 0
+    # A later view starts a new, empty store.
+    assert len(EllipsoidWorldView(world, SQUASHED)._triangles) == 0
+
+
+def test_a_view_refuses_radii_that_flatten_a_triangle_when_it_is_made():
+    # (2, 1, 0) divided by a y radius of 1e13 is (2, 1e-13, 0): the sphere
+    # space triangle is collinear.  The first row stays a triangle.
+    tris = [Triangle((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+            Triangle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 1.0, 0.0)),
+            Triangle((5.0, 0.0, 0.0), (6.0, 0.0, 0.0), (7.0, 1.0, 0.0))]
+    world = build_world(tris)
+    with pytest.raises(ValueError, match=r"^radii \(1\.0, 10000000000000\.0, 1\.0\) flatten 2 "
+                                         r"triangle\(s\) .*the first at index 1$"):
+        EllipsoidWorldView(world, EllipsoidRadii(1.0, 1e13, 1.0))
+    # Radii whose division overflows leave non-finite rows, refused alike
+    # (and with no RuntimeWarning, which the test settings make an error).
+    far = Triangle((1e300, 0.0, 0.0), (1e300, 1.0, 0.0), (1e300, 0.0, 1.0))
+    with pytest.raises(ValueError, match=r"flatten 3 triangle\(s\) .*the first at index 0$"):
+        EllipsoidWorldView(build_world([far] * 3), EllipsoidRadii(1e-10, 1.0, 1.0))
+    assert len(world._sphere_space) == 0
+    assert EllipsoidWorldView(world, EllipsoidRadii(1.0, 1e3, 1.0))._triangles is not None
+
+
+_ratio = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+@given(st.sampled_from((SCALAR_FILTER_CANDIDATES, 3 * SCALAR_FILTER_CANDIDATES)),
+       st.integers(0, 2 ** 16), st.tuples(_ratio, _ratio, _ratio),
+       st.lists(st.tuples(st.tuples(*[st.floats(-8.0, 8.0)] * 3),
+                          st.tuples(*[st.floats(-4.0, 4.0)] * 3)), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_a_filled_store_gives_the_frames_of_a_fresh_world(n, seed, radii, sweeps):
+    tris = builtin_mesh("random_soup", n=n, seed=seed, extent=6.0)
+    radii = EllipsoidRadii(*radii)
+    world = build_world(tris)
+    filler = EllipsoidWorldView(world, radii)
+
+    def frames(view):
+        out = []
+        for start, vel in sweeps:
+            start = to_sphere_space(start, radii)
+            vel = to_sphere_space(vel, radii)
+            for step in (sphere_sweep, collide_with_world_legacy):
+                pos = start
+                for _ in range(3):
+                    res = step(view, pos, vel)
+                    out.append(res)
+                    pos = res.final_pos
+        return out
+
+    filled = frames(filler)
+    assert frames(EllipsoidWorldView(world, radii)) == filled
+    assert frames(EllipsoidWorldView(build_world(tris), radii)) == filled

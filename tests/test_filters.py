@@ -319,7 +319,7 @@ def _capsule_gap(world, index, start, end, reach):
     """The exact squared distance from the segment to sphere *index*'s centre,
     and the exact squared bound ``(radius + reach)**2``, from the floats the
     filter reads."""
-    cx, cy, cz, r = (Fraction(v) for v in world._spheres[:, index].tolist())
+    cx, cy, cz, r = (Fraction(v) for v in world._sphere_columns()[:, index].tolist())
     s, e = [Fraction(v) for v in start], [Fraction(v) for v in end]
     d = [b - a for a, b in zip(s, e)]
     p = [cx - s[0], cy - s[1], cz - s[2]]

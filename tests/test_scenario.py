@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import re
@@ -189,6 +190,15 @@ def test_readme_scenario_example_runs(tmp_path):
     records = run_scenario(sc)[sc.algorithm]
     assert len(records) == sc.frames
     assert min(r.min_mesh_distance for r in records) >= 1.0 - 1e-6
+
+
+def test_readme_library_example_runs(capsys):
+    # The README's library example prints the ellipsoid's world-space position.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"## Library example\n+```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+    position = ast.literal_eval(capsys.readouterr().out)
+    assert len(position) == 3 and all(math.isfinite(c) for c in position)
 
 
 def test_scenario_from_dict_velocity_list():

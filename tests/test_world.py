@@ -328,7 +328,7 @@ def _exact_scan(world, start, end, radii=None, spheres=True):
     d1 = nx * end[0] + ny * end[1] + nz * end[2] + d
     keep = (np.minimum(d0, d1) <= margin) & (np.maximum(d0, d1) >= -margin)
     if spheres:
-        cx, cy, cz, r = world._spheres
+        cx, cy, cz, r = world._sphere_columns()
         dx, dy, dz = end[0] - start[0], end[1] - start[1], end[2] - start[2]
         dd = dx * dx + dy * dy + dz * dz
         px, py, pz = cx - start[0], cy - start[1], cz - start[2]
@@ -399,12 +399,18 @@ def test_both_filter_paths_are_the_exact_scan(case):
 
 def test_scalar_rows_are_made_once_when_first_read():
     world = build_world(builtin_mesh("random_soup", n=200, seed=4, extent=15.0))
-    assert world._rows == [None] * 200
+    assert world._rows == [None] * 200 and world._spheres is None
     # Across triangle 0 through its centroid, from one side to the other.
     centroid = world.vertices[0].mean(axis=0)
     normal = np.array(world.triangles[0].normal)
     start, end = tuple((centroid + normal).tolist()), tuple((centroid - normal).tolist())
-    found = world.sweep_indices(start, end)
+    # The numpy path reads no row, so the bounding spheres are not made.
+    with mock.patch.object(world_module, "SCALAR_FILTER_CANDIDATES", -1):
+        found = world.sweep_indices(start, end)
+    assert world._rows == [None] * 200 and world._spheres is None
+    assert world.sweep_indices(start, end) == found
+    spheres = world._spheres
+    assert spheres.shape == (4, 200) and world._sphere_columns() is spheres
     made = [i for i, row in enumerate(world._rows) if row is not None]
     assert found and set(found) <= set(made)
     assert len(made) <= SCALAR_FILTER_CANDIDATES
