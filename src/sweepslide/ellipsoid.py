@@ -78,12 +78,15 @@ class _SphereTriangles(dict):
     __slots__ = ("__weakref__",)
 
 
-def _sphere_triangles(world: World, radii: EllipsoidRadii) -> _SphereTriangles:
+def _sphere_triangles(world: World, radii: EllipsoidRadii,
+                      scaled: np.ndarray | None = None) -> _SphereTriangles:
     """The store *world* keeps for *radii*, made (and the radii checked) if no view holds it.
 
     Raises ``ValueError`` when the radii widen a triangle's box past
     ``MAX_TRIANGLE_EXTENT`` or flatten a triangle (one
-    :func:`triangle_to_sphere_space` would reject) in sphere space.
+    :func:`triangle_to_sphere_space` would reject) in sphere space.  The
+    flattening check reads *scaled*, ``world.vertices`` divided by the
+    radii, when the caller already has it.
     """
     key = radii.as_tuple()
     store = world._sphere_space.get(key)
@@ -93,9 +96,10 @@ def _sphere_triangles(world: World, radii: EllipsoidRadii) -> _SphereTriangles:
         raise ValueError(f"radii {key!r} widen a triangle of the world past "
                          f"MAX_TRIANGLE_EXTENT ({MAX_TRIANGLE_EXTENT!r}) in sphere space: "
                          f"its widest box sides are {world._extent!r}")
-    # triangle_normals takes a row whose division overflowed as non-finite.
-    with np.errstate(all="ignore"):
-        scaled = world.vertices / np.array(key)
+    if scaled is None:
+        # triangle_normals takes a row whose division overflowed as non-finite.
+        with np.errstate(all="ignore"):
+            scaled = world.vertices / np.array(key)
     flattened = np.flatnonzero(~triangle_normals(scaled)[1])
     if flattened.size:
         raise ValueError(f"radii {key!r} flatten {flattened.size} triangle(s) in sphere space "

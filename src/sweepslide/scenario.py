@@ -38,7 +38,8 @@ from typing import Union
 import numpy as np
 
 from .core import Triangle, Vec3, as_type, check_stand_off, distance, dot
-from .ellipsoid import EllipsoidRadii, EllipsoidWorldView, from_sphere_space, to_sphere_space
+from .ellipsoid import (EllipsoidRadii, EllipsoidWorldView, _sphere_triangles, from_sphere_space,
+                        to_sphere_space)
 from .legacy import LegacyConfig, collide_with_world_legacy
 from .mesh import builtin_mesh, load_obj_mesh, load_obj_vertices
 from .response import ResponseConfig, sphere_sweep
@@ -519,7 +520,9 @@ def run_scenario(scenario: Scenario) -> dict[str, list[TrajectoryRecord]]:
         # A finite mesh divided by a tiny radius can leave coordinates whose
         # products overflow: the audit would read NaN and pass.
         with np.errstate(over="raise", invalid="raise"):
-            sphere_tris = world.vertices / np.array(radii.as_tuple())[None, None, :]
+            # Division by 1.0 changes no bit: unit radii audit the world's own block.
+            sphere_tris = (world.vertices if radii.is_unit
+                           else world.vertices / np.array(radii.as_tuple()))
             start_dist = min_distance_to_mesh(start_s, sphere_tris)
     except FloatingPointError:
         raise ValueError(
@@ -527,7 +530,9 @@ def run_scenario(scenario: Scenario) -> dict[str, list[TrajectoryRecord]]:
             f"{radii.as_tuple()!r}"
         ) from None
     # One view for both streams: they run in turn and share its scaled
-    # triangles.  Making it refuses radii that flatten or widen a triangle.
+    # triangles.  The view finds the store made here, whose radii check
+    # (refusing radii that flatten or widen a triangle) read the audit's block.
+    store = None if radii.is_unit else _sphere_triangles(world, radii, sphere_tris)
     view = EllipsoidWorldView(world, radii)
     if start_dist < 1.0 - 1e-6:
         raise ValueError(

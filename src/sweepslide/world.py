@@ -9,22 +9,27 @@ than ``MAX_CELLS_PER_TRIANGLE`` cells each on average.  A mesh of any size
 builds; a triangle whose box is wider than ``MAX_TRIANGLE_EXTENT`` along an
 axis is refused, because the narrowphase loses precision on it.
 
-The world also keeps every triangle's box and plane as float64 arrays, and
-its bounding sphere once the first short answer needs it, so the grid's
-answer to a sweep can be cut down by sound filters before any triangle
-reaches the scalar narrowphase, and its vertices as one ``(n, 3, 3)``
+The world also keeps every triangle's box and plane as float64 arrays, so
+the triangles a sweep may touch can be cut down by sound filters before
+any reaches the scalar narrowphase, and its vertices as one ``(n, 3, 3)``
 float64 block for the exhaustive audit, which reads no grid but shares the
-spheres' one implementation (:func:`_bounding_spheres`).  An answer of at most
-``SCALAR_FILTER_CANDIDATES`` triangles is filtered in one Python-float
-loop over per-triangle rows, each made when first read, since numpy's cost
-per call outweighs its cost per triangle there: an exact box test, a plane
-slab and a capsule test against the triangle's sphere.  A longer answer is
-box-tested with numpy over the arrays, then slab-tested in Python floats.
-Both paths keep every triangle the sweep can touch; only the short one runs
-the sphere test.  On the 20,000-triangle heightfield, whose answers take the
-long path, that test took only 13 % of the narrowphase calls, and adding it
-there lowered the frame rate by about 10 %.
-A world can be built from such a block alone; it then makes each
+bounding spheres' one implementation (:func:`_bounding_spheres`).  Each
+sweep takes one of three paths.  A sweep over a world of at most
+``SCAN_WORLD_TRIANGLES`` triangles whose box spans at least one cell per
+``SCAN_TRIANGLES_PER_CELL`` of them skips the grid: a long sweep over a
+small world visits more cells than a scan of every triangle costs.  Every
+triangle then goes through one Python-float loop over per-triangle rows,
+each made when first read: an exact box test, a plane slab and a capsule
+test against the triangle's sphere.  Any other sweep asks the grid, and a
+grid answer of at most ``SCALAR_FILTER_CANDIDATES`` triangles goes through
+the same loop, since numpy's cost per call outweighs its cost per triangle
+there.  A longer answer is box-tested with numpy over the arrays, then
+slab-tested in Python floats.  Every path keeps every triangle the sweep
+can touch, in ascending order; only the loop runs the sphere test.  On
+the 20,000-triangle heightfield, whose answers take the numpy path, that
+test took only 13 % of the narrowphase calls, and adding it there lowered
+the frame rate by about 10 %.
+A world can be built from a vertex block alone; it then makes each
 :class:`Triangle` only when a sweep first reaches it.
 """
 
@@ -83,6 +88,25 @@ SLAB_MARGIN = 1.0 + SWEEP_BOX_SLACK
 # but the heightfield's slower, so it stays on this side of the cut.
 SCALAR_FILTER_CANDIDATES = 32
 
+# A sweep over a world of at most SCAN_WORLD_TRIANGLES triangles whose box
+# spans at least one grid cell per SCAN_TRIANGLES_PER_CELL triangles skips
+# the grid, and every row goes through the Python-float loop: visiting that
+# many cells costs more than the rows.  On a 2-core host, a round of 2,000
+# improved frames over the 40-triangle fuzz soups took (median of 15) 99 ms
+# with no scan, 86 ms at 4 triangles per cell, 87 at 8, 81 at 16, 81 at 32
+# and 85 with every sweep scanned; at 2 it gained nothing.  At 16, 90 % of
+# those soups' sweeps scan.
+SCAN_TRIANGLES_PER_CELL = 16
+
+# A scan makes every row the world has not made yet, about 1.7 us and 0.45 KB
+# each, and costs time in proportion to the world.  Over random soups of 40
+# to 4,096 triangles, on the long sweeps the rule above scans, a warm scan
+# plus the narrowphase took 0.70 to 0.97 times the grid's time, but the
+# first sweep across a 20,000-triangle heightfield, from (5, 5, 4) to
+# (95, 95, 3), took 50 ms when scanned (2 ms warm) against 0.2 ms on the
+# grid.  At 1,024 a first scan makes at most about 2 ms and 0.45 MB of rows.
+SCAN_WORLD_TRIANGLES = 1024
+
 Bounds = tuple[Vec3, Vec3]
 
 
@@ -101,6 +125,16 @@ def _cell_range(bounds: Bounds, size: float) -> tuple[range, range, range]:
         range(math.floor(lo[1] / size), math.floor(hi[1] / size) + 1),
         range(math.floor(lo[2] / size), math.floor(hi[2] / size) + 1),
     )
+
+
+def _cell_count(ranges: tuple[range, range, range]) -> int:
+    """How many cells :func:`_cell_range`'s *ranges* hold.
+
+    Python ints, not ``len(range)``: a long finite box has more cells than
+    ``len()`` can return.
+    """
+    rx, ry, rz = ranges
+    return (rx.stop - rx.start) * (ry.stop - ry.start) * (rz.stop - rz.start)
 
 
 def _cell_entries(lo: np.ndarray, hi: np.ndarray, size: float) -> float:
@@ -169,19 +203,18 @@ class World:
     so one ``<=`` against ``(hi, -lo)`` of a query box is the inclusive
     overlap test.  Column ``i`` of ``_planes`` is ``(n, -n.a)``, so
     ``(p, 1)`` times it is the signed distance of ``p`` from the plane.
-    Column ``i`` of ``_sphere_columns()`` is the centre and radius of a
-    sphere that holds triangle ``i`` (:func:`_bounding_spheres`).  Row ``i``
-    of ``vertices`` is triangle ``i``'s ``(a, b, c)``.  Entry ``i`` of
-    ``_rows`` is ``None`` or triangle ``i``'s box, plane and sphere as
-    Python floats (see ``_row``).  ``_extent`` is the widest box side of
-    any triangle along each axis.  ``_sphere_space`` holds the ellipsoid
+    Row ``i`` of ``vertices`` is triangle ``i``'s ``(a, b, c)``.  Entry
+    ``i`` of ``_rows`` is ``None`` or triangle ``i``'s box, plane and
+    bounding sphere (:func:`_bounding_spheres`) as Python floats (see
+    ``_row``).  ``_extent`` is the widest box side of any triangle along
+    each axis.  ``_sphere_space`` holds the ellipsoid
     views' sphere-space triangles, one store per radii tuple, each kept
     only while a view of those radii is alive (see
     :class:`~sweepslide.ellipsoid.EllipsoidWorldView`).
     """
 
     __slots__ = ("triangles", "vertices", "_cell_size", "_cells", "_boxes", "_planes",
-                 "_spheres", "_rows", "_extent", "_sphere_space")
+                 "_rows", "_extent", "_sphere_space")
 
     def __init__(self, triangles: Sequence[Triangle], vertices: np.ndarray, cell_size: float,
                  cells: dict[tuple[int, int, int], list[int]],
@@ -193,8 +226,6 @@ class World:
         self._boxes = boxes
         self._planes = planes
         self._extent = extent
-        # Made by the first _row: only the short-list filter reads them.
-        self._spheres: np.ndarray | None = None
         # Each triangle's _row, made when the scalar filter first reads it.
         # Concurrent sweeps may both make one; either copy is the same.
         self._rows: list[tuple[float, ...] | None] = [None] * boxes.shape[1]
@@ -211,11 +242,8 @@ class World:
         Guaranteed a superset of the exact AABB-overlap set; deduplicated
         and ascending.
         """
-        rx, ry, rz = _cell_range(bounds, self._cell_size)
-        # Python ints, not len(range): a long finite box has more cells
-        # than len() can return.
-        box_cells = (rx.stop - rx.start) * (ry.stop - ry.start) * (rz.stop - rz.start)
-        if box_cells > len(self._cells):
+        rx, ry, rz = ranges = _cell_range(bounds, self._cell_size)
+        if _cell_count(ranges) > len(self._cells):
             # Huge query box: the exact scan is cheaper than its cells.
             return self.brute_force_indices(bounds)
         cells = self._cells
@@ -241,16 +269,19 @@ class World:
         the plane ``n.x = n.a`` is ``(n*r).p = n.a``, so the margin is
         scaled by ``|n*r|``.
 
-        A grid answer of at most ``SCALAR_FILTER_CANDIDATES`` triangles is
-        filtered in one Python loop over per-triangle rows, which also
-        drops a triangle when the closest point of the segment to its
-        sphere's centre lies farther than the radius plus ``SLAB_MARGIN``
-        (times the largest of *radii*, in world space): the triangle lies
-        in its sphere, and the swept sphere (an ellipsoid within a ball of
-        its largest radius) only reaches that far.  A longer answer is
-        box-tested with numpy over the world's arrays, with the same
-        inclusive comparisons, then slab-tested in Python floats
-        (:func:`_slab_filter`).
+        A world of at most ``SCAN_WORLD_TRIANGLES`` triangles is not asked
+        for its grid answer when the box spans at least one cell per
+        ``SCAN_TRIANGLES_PER_CELL`` triangles; every triangle is filtered
+        instead.  Every triangle so scanned, or a grid answer of at most
+        ``SCALAR_FILTER_CANDIDATES`` triangles, is filtered in one Python
+        loop over per-triangle rows, which also drops a triangle when the
+        closest point of the segment to its sphere's centre lies farther
+        than the radius plus ``SLAB_MARGIN`` (times the largest of *radii*,
+        in world space): the triangle lies in its sphere, and the swept
+        sphere (an ellipsoid within a ball of its largest radius) only
+        reaches that far.  A longer grid answer is box-tested with numpy
+        over the world's arrays, with the same inclusive comparisons, then
+        slab-tested in Python floats (:func:`_slab_filter`).
         """
         pad = 1.0 + SWEEP_BOX_SLACK
         lo = (min(start[0], end[0]) - pad, min(start[1], end[1]) - pad,
@@ -265,12 +296,18 @@ class World:
             start = (start[0] * rx, start[1] * ry, start[2] * rz)
             end = (end[0] * rx, end[1] * ry, end[2] * rz)
             reach = SLAB_MARGIN * max(radii)
-        found = self.query_candidates((lo, hi))
-        if len(found) > SCALAR_FILTER_CANDIDATES:
-            found = np.fromiter(found, dtype=np.intp, count=len(found))
-            found = found[(self._boxes.take(found, axis=1) <= _overlap_column((lo, hi))).all(axis=0)]
-            return _slab_filter(zip(found.tolist(), *self._planes.take(found, axis=1).tolist()),
-                                start, end, radii)
+        count = len(self._rows)
+        if (count <= SCAN_WORLD_TRIANGLES and count <= SCAN_TRIANGLES_PER_CELL
+                * _cell_count(_cell_range((lo, hi), self._cell_size))):
+            found = range(count)
+        else:
+            found = self.query_candidates((lo, hi))
+            if len(found) > SCALAR_FILTER_CANDIDATES:
+                found = np.fromiter(found, dtype=np.intp, count=len(found))
+                found = found[(self._boxes.take(found, axis=1)
+                               <= _overlap_column((lo, hi))).all(axis=0)]
+                return _slab_filter(zip(found.tolist(), *self._planes.take(found, axis=1).tolist()),
+                                    start, end, radii)
         lx, ly, lz = lo
         hx, hy, hz = hi
         sx, sy, sz = start
@@ -313,20 +350,20 @@ class World:
         return kept
 
     def _row(self, index: int) -> tuple[float, ...]:
-        """Triangle *index*'s box, plane and sphere as floats: ``(lo, hi, n, -n.a, c, r)``."""
-        x0, y0, z0, x1, y1, z1 = self._boxes[:, index].tolist()
-        return (x0, y0, z0, -x1, -y1, -z1, *self._planes[:, index].tolist(),
-                *self._sphere_columns()[:, index].tolist())
+        """Triangle *index*'s box, plane and sphere as floats: ``(lo, hi, n, -n.a, c, r)``.
 
-    def _sphere_columns(self) -> np.ndarray:
-        """Each triangle's bounding sphere as a ``(4, n)`` column block, made on the first call.
-
-        Concurrent first calls may both make it; either copy is the same.
+        The sphere is :func:`_bounding_spheres`' for this row alone, in the
+        same operation order, so it has the same bits.
         """
-        spheres = self._spheres
-        if spheres is None:
-            spheres = self._spheres = np.vstack(_bounding_spheres(self.vertices))
-        return spheres
+        x0, y0, z0, x1, y1, z1 = self._boxes[:, index].tolist()
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = self.vertices[index].tolist()
+        mx, my, mz = (ax + bx + cx) / 3, (ay + by + cy) / 3, (az + bz + cz) / 3
+        ax, ay, az, bx, by, bz = ax - mx, ay - my, az - mz, bx - mx, by - my, bz - mz
+        cx, cy, cz = cx - mx, cy - my, cz - mz
+        reach = max(ax * ax + ay * ay + az * az, bx * bx + by * by + bz * bz,
+                    cx * cx + cy * cy + cz * cz)
+        return (x0, y0, z0, -x1, -y1, -z1, *self._planes[:, index].tolist(),
+                mx, my, mz, math.sqrt(reach))
 
     def candidates(self, start: Vec3, end: Vec3) -> list[tuple[int, Triangle]]:
         """``(index, triangle)`` pairs for ``sweep_indices(start, end)``."""

@@ -31,10 +31,14 @@ START, VELOCITY = (0.3, -0.2, 2.5), (1.5, 0.7, -3.0)
 
 def _work():
     world = build_world(builtin_mesh("obtuse_corner"))
+    # A world this small is scanned row by row; a short sweep over a
+    # 200-triangle soup takes the grid, whose query the tracer wraps.
+    soup = build_world(builtin_mesh("random_soup", n=200, seed=4, extent=15.0))
     scenario = builtin_scenario("obtuse_corner", frames=5, algorithm="both")
     return world, [
         sphere_sweep(world, START, VELOCITY),
         sphere_sweep(EllipsoidWorldView(world, EllipsoidRadii(2.0, 1.0, 0.5)), START, VELOCITY),
+        sphere_sweep(soup, START, (0.5, 0.3, -0.4)),
         run_scenario(scenario),
     ]
 

@@ -11,6 +11,7 @@ contact from the narrowphase.
 
 import math
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -23,7 +24,10 @@ from sweepslide import world as world_module
 from sweepslide.core import Triangle, add, distance, sub
 from sweepslide.detect import check_collision, closest_point_on_triangle, sweep_unit_sphere_triangle
 from sweepslide.ellipsoid import EllipsoidRadii, EllipsoidWorldView, triangle_to_sphere_space
+from sweepslide.legacy import LegacyConfig, collide_with_world_legacy
 from sweepslide.mesh import builtin_mesh
+from sweepslide.response import sphere_sweep
+from sweepslide.scenario import min_distance_to_mesh
 from sweepslide.world import SLAB_MARGIN, build_world
 
 UNIT = EllipsoidRadii(1.0, 1.0, 1.0)
@@ -319,7 +323,7 @@ def _capsule_gap(world, index, start, end, reach):
     """The exact squared distance from the segment to sphere *index*'s centre,
     and the exact squared bound ``(radius + reach)**2``, from the floats the
     filter reads."""
-    cx, cy, cz, r = (Fraction(v) for v in world._sphere_columns()[:, index].tolist())
+    cx, cy, cz, r = (Fraction(v) for v in world._row(index)[10:])
     s, e = [Fraction(v) for v in start], [Fraction(v) for v in end]
     d = [b - a for a, b in zip(s, e)]
     p = [cx - s[0], cy - s[1], cz - s[2]]
@@ -345,7 +349,8 @@ def test_the_sphere_test_drops_only_triangles_the_sweep_misses(case):
         vel = tuple(v / r for v, r in zip(world_vel, scale))
         end = add(source, vel)
         # Box and slab alone (the numpy path), and with the sphere test.
-        with mock.patch.object(world_module, "SCALAR_FILTER_CANDIDATES", -1):
+        with mock.patch.multiple(world_module, SCALAR_FILTER_CANDIDATES=-1,
+                                 SCAN_WORLD_TRIANGLES=-1):
             box_and_slab = world.sweep_indices(source, end, radii)
         with mock.patch.object(world_module, "SCALAR_FILTER_CANDIDATES", len(tris)):
             kept = world.sweep_indices(source, end, radii)
@@ -377,7 +382,66 @@ def test_a_fast_sweep_past_a_small_triangle_reaches_no_narrowphase(monkeypatch):
         return original(*args, **kw)
 
     monkeypatch.setattr(sweepslide.detect, "sweep_unit_sphere_triangle", counted)
+    # A world this small is scanned; the grid's short answer runs the same test.
     assert check_collision(world, source, vel) is None
+    with mock.patch.object(world_module, "SCAN_WORLD_TRIANGLES", -1):
+        assert check_collision(world, source, vel) is None
     assert calls == []
-    with mock.patch.object(world_module, "SCALAR_FILTER_CANDIDATES", -1):
+    # Off the scan, the numpy path keeps it: it runs no sphere test.
+    with mock.patch.multiple(world_module, SCALAR_FILTER_CANDIDATES=-1, SCAN_WORLD_TRIANGLES=-1):
         assert world.sweep_indices(source, add(source, vel)) == [0]
+
+
+# --- the scan of every row ---
+
+def _fuzz_frames(worlds, count, rng, radii=None):
+    """Frames drawn as ``sweepslide verify``'s fuzz corpus draws them, in the
+    sphere space of *radii*: clear starts in the soups' box, half of them
+    aimed at a point of a triangle, the rest up to 6 units in any direction."""
+    scale = (1.0, 1.0, 1.0) if radii is None else radii.as_tuple()
+    blocks = [world.vertices / scale for world in worlds]
+    frames = []
+    for i in range(count):
+        world, vertices = worlds[i % len(worlds)], blocks[i % len(worlds)]
+        while True:
+            pos = tuple(rng.uniform(-8.0, 8.0) / r for r in scale)
+            if min_distance_to_mesh(pos, vertices) >= 1.000001:
+                break
+        if rng.random() < 0.5:
+            w = [rng.random() for _ in range(3)]
+            corners = vertices[rng.randrange(len(vertices))].tolist()
+            target = tuple(sum(wk * c[axis] for wk, c in zip(w, corners)) / sum(w)
+                           for axis in range(3))
+            vel = tuple((t - p) * rng.uniform(0.5, 2.0) for t, p in zip(target, pos))
+        else:
+            speed = rng.uniform(0.0, 6.0)
+            vel = tuple(rng.gauss(0.0, 1.0) for _ in range(3))
+            vel = tuple(v * speed / math.sqrt(sum(x * x for x in vel)) for v in vel)
+        frames.append((world, pos, vel))
+    return frames
+
+
+def test_the_scan_changes_no_frame():
+    # The acceptance corpus's soups, and a view of one of them, swept with
+    # the scan as the world selects it, never, and for every sweep.
+    soups = [builtin_mesh("random_soup", n=40, seed=1000 + k, extent=8.0) for k in range(10)]
+    worlds = [build_world(tris) for tris in soups]
+    radii = EllipsoidRadii(1.6, 0.9, 0.6)
+    rng = random.Random(24)
+    frames = _fuzz_frames(worlds, 600, rng)
+    frames += [(EllipsoidWorldView(world, radii), pos, vel)
+               for world, pos, vel in _fuzz_frames(worlds[:1], 200, rng, radii)]
+    legacy_cfg = LegacyConfig(max_recursion=5)
+
+    def run():
+        return [(sphere_sweep(world, pos, vel),
+                 collide_with_world_legacy(world, pos, vel, legacy_cfg))
+                for world, pos, vel in frames]
+
+    want = run()
+    with mock.patch.object(world_module, "SCAN_WORLD_TRIANGLES", -1):
+        assert run() == want
+    with mock.patch.multiple(world_module, SCAN_WORLD_TRIANGLES=sys.maxsize,
+                             SCAN_TRIANGLES_PER_CELL=sys.maxsize):
+        assert run() == want
+    assert sum(res.planes != () for res, _ in want) > 100

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sweepslide import scenario as scenario_module
 from sweepslide.ellipsoid import EllipsoidRadii
 from sweepslide.scenario import (
     REPORT_COLUMNS,
@@ -50,6 +51,40 @@ def test_floor_scenario_with_ellipsoid_radii():
     sc = _floor_scenario(radii=EllipsoidRadii(2.0, 1.0, 0.5), frames=2)
     records = run_scenario(sc)["improved"]
     assert abs(records[-1].position[2] - 1.005 * 0.5) <= 1e-6
+
+
+@pytest.mark.parametrize("radii", [EllipsoidRadii(1.0, 1.0, 1.0), EllipsoidRadii(2.0, 1.0, 0.5)])
+def test_the_mesh_is_divided_by_the_radii_once(monkeypatch, radii):
+    # The audit and the view's radii check read one sphere-space block;
+    # for unit radii it is the world's own.
+    worlds, checked, audited = [], [], []
+    sphere_triangles = scenario_module._sphere_triangles
+    mesh_distances = scenario_module.mesh_distances
+
+    def build(tris):
+        worlds.append(build_world(tris))
+        return worlds[-1]
+
+    def check(world, radii, scaled=None):
+        checked.append(scaled)
+        return sphere_triangles(world, radii, scaled)
+
+    def audit(points, tris):
+        audited.append(tris)
+        return mesh_distances(points, tris)
+
+    monkeypatch.setattr(scenario_module, "build_world", build)
+    monkeypatch.setattr(scenario_module, "_sphere_triangles", check)
+    monkeypatch.setattr(scenario_module, "mesh_distances", audit)
+    run_scenario(_floor_scenario(radii=radii, algorithm="both"))
+    (world,) = worlds
+    block = audited[0]
+    assert len(audited) == 2 and audited[1] is block
+    if radii.is_unit:
+        assert block is world.vertices and checked == []
+    else:
+        assert len(checked) == 1 and checked[0] is block
+        assert block.tobytes() == (world.vertices / np.array(radii.as_tuple())).tobytes()
 
 
 def test_zero_velocity_program_never_moves():

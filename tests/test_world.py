@@ -20,10 +20,25 @@ from sweepslide.world import (
     MAX_CELLS_PER_TRIANGLE,
     MAX_TRIANGLE_EXTENT,
     SCALAR_FILTER_CANDIDATES,
+    SCAN_TRIANGLES_PER_CELL,
+    SCAN_WORLD_TRIANGLES,
     SLAB_MARGIN,
     SWEEP_BOX_SLACK,
+    World,
+    _bounding_spheres,
     build_world,
 )
+
+
+def _scan_off():
+    """A patch that keeps every ``sweep_indices`` call on the grid."""
+    return mock.patch.object(world_module, "SCAN_WORLD_TRIANGLES", -1)
+
+
+def _scan_on():
+    """A patch that sends every ``sweep_indices`` call through the scan."""
+    return mock.patch.multiple(world_module, SCAN_WORLD_TRIANGLES=sys.maxsize,
+                               SCAN_TRIANGLES_PER_CELL=sys.maxsize)
 
 
 def test_rejects_a_grid_too_large_to_build():
@@ -328,7 +343,7 @@ def _exact_scan(world, start, end, radii=None, spheres=True):
     d1 = nx * end[0] + ny * end[1] + nz * end[2] + d
     keep = (np.minimum(d0, d1) <= margin) & (np.maximum(d0, d1) >= -margin)
     if spheres:
-        cx, cy, cz, r = world._sphere_columns()
+        (cx, cy, cz), r = _bounding_spheres(world.vertices)
         dx, dy, dz = end[0] - start[0], end[1] - start[1], end[2] - start[2]
         dd = dx * dx + dy * dy + dz * dz
         px, py, pz = cx - start[0], cy - start[1], cz - start[2]
@@ -341,15 +356,27 @@ def _exact_scan(world, start, end, radii=None, spheres=True):
     return [i for i in world.brute_force_indices((lo, hi)) if keep[i]]
 
 
+def _scans(world, box):
+    """Whether ``sweep_indices`` scans every row for a sweep of *box*: the
+    world is small and the box spans a cell per ``SCAN_TRIANGLES_PER_CELL``
+    of its triangles."""
+    count, size = len(world.vertices), world.cell_size
+    cells = math.prod(math.floor(h / size) - math.floor(l / size) + 1 for l, h in zip(*box))
+    return (count <= world_module.SCAN_WORLD_TRIANGLES
+            and count <= world_module.SCAN_TRIANGLES_PER_CELL * cells)
+
+
 def _default_path(world, start, end, radii=None):
     """``_exact_scan`` of the path ``sweep_indices`` takes: the Python-float
-    one when the grid answers the sweep's box with few enough triangles."""
+    one when it scans every row, or when the grid answers the sweep's box
+    with few enough triangles."""
     pad = 1.0 + SWEEP_BOX_SLACK
     box = [tuple(min(s, e) - pad for s, e in zip(start, end)),
            tuple(max(s, e) + pad for s, e in zip(start, end))]
     if radii is not None:
         box = [tuple(v * r for v, r in zip(p, radii)) for p in box]
-    short = len(world.query_candidates(box)) <= SCALAR_FILTER_CANDIDATES
+    short = (_scans(world, box)
+             or len(world.query_candidates(box)) <= world_module.SCALAR_FILTER_CANDIDATES)
     return _exact_scan(world, start, end, radii, spheres=short)
 
 
@@ -390,32 +417,131 @@ def test_both_filter_paths_are_the_exact_scan(case):
         numpy_path = _exact_scan(world, start, end, radii, spheres=False)
         float_path = _exact_scan(world, start, end, radii)
         assert set(float_path) <= set(numpy_path)
-        # The path the world picks for this grid answer, then each path.
+        # The path the world picks for this grid answer, then each path:
+        # the grid's two, and the scan of every row.
         assert world.sweep_indices(start, end, radii) == _default_path(world, start, end, radii)
         for limit, want in ((-1, numpy_path), (len(tris), float_path)):
-            with mock.patch.object(world_module, "SCALAR_FILTER_CANDIDATES", limit):
+            with _scan_off(), mock.patch.object(world_module, "SCALAR_FILTER_CANDIDATES", limit):
                 assert world.sweep_indices(start, end, radii) == want, limit
+        with _scan_on(), mock.patch.object(world_module, "SCALAR_FILTER_CANDIDATES", -1):
+            assert world.sweep_indices(start, end, radii) == float_path
+
+
+@st.composite
+def _scan_sweeps(draw):
+    """A soup of up to a few hundred triangles over one to many cells, radii
+    (or ``None``), and sweeps from short to across the whole soup."""
+    count = draw(st.sampled_from((1, 17, 40, 150, 400)))
+    extent = draw(st.sampled_from((2.0, 8.0, 30.0)))
+    tris = builtin_mesh("random_soup", n=count, seed=draw(st.integers(0, 999)), extent=extent)
+    radii = draw(st.none() | st.tuples(*[st.floats(0.2, 5.0)] * 3))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    sweeps = []
+    for _ in range(8):
+        start = tuple(rng.uniform(-extent, extent) for _ in range(3))
+        reach = rng.choice((1.0, 2.0 * extent))
+        end = tuple(v + rng.uniform(-reach, reach) for v in start)
+        if radii is not None:
+            start, end = (tuple(v / r for v, r in zip(p, radii)) for p in (start, end))
+        sweeps.append((start, end))
+    return tris, radii, sweeps
+
+
+@given(_scan_sweeps())
+@settings(max_examples=60, deadline=None)
+def test_a_scanned_sweep_is_the_exact_scan(case):
+    tris, radii, sweeps = case
+    world = build_world(tris)
+    for start, end in sweeps:
+        want = _exact_scan(world, start, end, radii)
+        with _scan_on():
+            assert world.sweep_indices(start, end, radii) == want
+        assert world.sweep_indices(start, end, radii) == _default_path(world, start, end, radii)
+
+
+def _grid_queries(world, start, end):
+    """``world.sweep_indices(start, end)`` and how many grid queries it made."""
+    queries = []
+    original = World.query_candidates
+
+    def counted(self, bounds):
+        queries.append(bounds)
+        return original(self, bounds)
+
+    with mock.patch.object(World, "query_candidates", counted):
+        return world.sweep_indices(start, end), len(queries)
+
+
+def test_only_a_world_within_the_cap_is_scanned():
+    # A sweep across the whole soup spans every cell of it.
+    start, end = (-20.0, -20.0, -20.0), (20.0, 20.0, 20.0)
+    for count, queries in ((SCAN_WORLD_TRIANGLES, 0), (SCAN_WORLD_TRIANGLES + 1, 1)):
+        world = build_world(builtin_mesh("random_soup", n=count, seed=3, extent=16.0))
+        assert len(world._cells) * SCAN_TRIANGLES_PER_CELL >= count
+        assert _grid_queries(world, start, end) == (_default_path(world, start, end), queries)
+
+
+def test_a_long_sweep_over_a_large_world_never_scans():
+    # The 20,000 triangles of a 100 x 100 heightfield of unit quads, and a
+    # sweep along its diagonal whose box spans 25 x 25 x 2 cells: one per
+    # 16 triangles, which would scan every row were the world not capped.
+    i, j = np.meshgrid(np.arange(101.0), np.arange(101.0), indexing="ij")
+    z = np.sin(0.31 * i) * np.cos(0.23 * j) + 0.8 * np.sin(0.11 * (i + j))
+    corner = np.stack((i, j, z), axis=-1)
+    a, b, c, d = corner[:-1, :-1], corner[1:, :-1], corner[1:, 1:], corner[:-1, 1:]
+    world = build_world(np.stack((np.stack((a, b, c), axis=2), np.stack((a, c, d), axis=2)),
+                                 axis=2).reshape(-1, 3, 3))
+    assert len(world.vertices) == 20_000 > SCAN_WORLD_TRIANGLES
+    start, end = (5.0, 5.0, 4.0), (95.0, 95.0, 3.0)
+    found, queries = _grid_queries(world, start, end)
+    assert queries == 1 and found == _exact_scan(world, start, end, spheres=False)
+    assert world._rows.count(None) == 20_000
+    with mock.patch.object(world_module, "SCAN_WORLD_TRIANGLES", sys.maxsize):
+        assert _grid_queries(world, start, end)[1] == 0
+
+
+def test_the_broadphase_check_sweeps_through_the_grid():
+    # verify's broadphase-soundness check compares check_collision over a
+    # 500-triangle soup with a scan of every triangle; a sweep that skipped
+    # the grid would leave the grid out of that comparison.
+    from sweepslide import verify
+
+    calls = {"sweeps": 0, "queries": 0}
+    sweep, query = World.sweep_indices, World.query_candidates
+
+    def counted_sweep(self, *args):
+        calls["sweeps"] += 1
+        return sweep(self, *args)
+
+    def counted_query(self, bounds):
+        calls["queries"] += 1
+        return query(self, bounds)
+
+    with mock.patch.multiple(World, sweep_indices=counted_sweep, query_candidates=counted_query):
+        assert verify.check_broadphase().passed
+    assert calls == {"sweeps": verify.ORACLE_TRIALS, "queries": verify.ORACLE_TRIALS}
 
 
 def test_scalar_rows_are_made_once_when_first_read():
     world = build_world(builtin_mesh("random_soup", n=200, seed=4, extent=15.0))
-    assert world._rows == [None] * 200 and world._spheres is None
+    assert world._rows == [None] * 200
     # Across triangle 0 through its centroid, from one side to the other.
     centroid = world.vertices[0].mean(axis=0)
     normal = np.array(world.triangles[0].normal)
     start, end = tuple((centroid + normal).tolist()), tuple((centroid - normal).tolist())
-    # The numpy path reads no row, so the bounding spheres are not made.
-    with mock.patch.object(world_module, "SCALAR_FILTER_CANDIDATES", -1):
+    # The numpy path reads no row.
+    with _scan_off(), mock.patch.object(world_module, "SCALAR_FILTER_CANDIDATES", -1):
         found = world.sweep_indices(start, end)
-    assert world._rows == [None] * 200 and world._spheres is None
-    assert world.sweep_indices(start, end) == found
-    spheres = world._spheres
-    assert spheres.shape == (4, 200) and world._sphere_columns() is spheres
+    assert world._rows == [None] * 200
+    # The grid's short answer makes the rows it reads.
+    with _scan_off():
+        assert world.sweep_indices(start, end) == found
     made = [i for i, row in enumerate(world._rows) if row is not None]
     assert found and set(found) <= set(made)
     assert len(made) <= SCALAR_FILTER_CANDIDATES
     row = world._rows[made[0]]
-    assert world.sweep_indices(start, end) == found and world._rows[made[0]] is row
+    with _scan_off():
+        assert world.sweep_indices(start, end) == found and world._rows[made[0]] is row
     vertices = world.vertices[made[0]]
     lo, hi = vertices.min(axis=0), vertices.max(axis=0)
     centroid = (vertices[0] + vertices[1] + vertices[2]) / 3
@@ -423,6 +549,44 @@ def test_scalar_rows_are_made_once_when_first_read():
     assert len(row) == 14
     assert row[:10] == (*lo.tolist(), *hi.tolist(), *world._planes[:, made[0]].tolist())
     assert row[10:] == (*centroid.tolist(), radius)
+    # A scan makes every other row and keeps the ones already made.
+    with _scan_on():
+        assert world.sweep_indices(start, end) == found
+    assert None not in world._rows and world._rows[made[0]] is row
+
+
+@st.composite
+def _far_and_sliver_blocks(draw):
+    """Vertex blocks of triangles near the origin or up to 1e12 from it,
+    half of them slivers whose third vertex lies 1e-3 to 1e-11 off the line
+    through the other two."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    while len(rows) < 40:
+        offset = [rng.choice((0.0, 7.5, -3e4, 1e8, -1e12)) for _ in range(3)]
+        a = [o + rng.uniform(-5.0, 5.0) for o in offset]
+        b = [v + rng.uniform(-5.0, 5.0) for v in a]
+        if rng.random() < 0.5:
+            c = [v + rng.uniform(-5.0, 5.0) for v in a]
+        else:
+            f, off = rng.uniform(-1.0, 2.0), 10.0 ** -rng.randint(3, 11)
+            c = [p + f * (q - p) + off * rng.gauss(0.0, 1.0) for p, q in zip(a, b)]
+        try:
+            Triangle(tuple(a), tuple(b), tuple(c))
+        except DegenerateTriangleError:
+            continue
+        rows.append((a, b, c))
+    return np.array(rows)
+
+
+@given(_far_and_sliver_blocks())
+@settings(max_examples=50, deadline=None)
+def test_a_row_sphere_has_the_bits_of_the_bounding_spheres(block):
+    world = build_world(block)
+    centroids, radii = _bounding_spheres(world.vertices)
+    want = np.vstack((centroids, radii)).T
+    got = np.array([world._row(i)[10:] for i in range(len(block))])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_concurrent_sweeps_fill_rows_benignly():
