@@ -11,9 +11,7 @@ check is its one-point case (:func:`min_distance_to_mesh`).  Bounding
 spheres, from :func:`world._bounding_spheres` as in the sweep filter,
 prune the triangles that cannot be nearest, and the Voronoi evaluation
 runs on the surviving point-triangle pairs, batched across points, so
-each distance is that of a scan of every triangle, bit for bit.  A few
-points on a small mesh (``_SCAN_PAIRS``) skip the prune and evaluate
-every pair.
+each distance is that of a scan of every triangle, bit for bit.
 
 A mesh of more than ``_BLOCK_ROWS`` (16,384) triangles gets a chunk level
 first: sorted by the grid cell of their centroids, its triangles are cut
@@ -247,13 +245,6 @@ _RUN = 32
 # Point-triangle pairs per call of the Voronoi evaluation, across points:
 # few calls, and temporaries of a few tens of KB.
 _PAIR_ROWS = 1 << 10
-# At most this many point-triangle pairs are evaluated directly, every pair,
-# with no bounds: below it the prune costs more than the pairs it skips.  On
-# a 2-core host, over 12- to 100-triangle soups, the direct scan took 65 to
-# 84 us up to 120 pairs, against 82 to 93 us pruned, and lost from 160
-# pairs on (97 against 92 us); the start check on a 40-triangle soup went
-# from 85 to 65 us.
-_SCAN_PAIRS = 128
 # Pruning slack, relative to the size of the coordinates.  The bounds and
 # the Voronoi distances each round to within a few ulps of that size; the
 # slack is millions of ulps, so no triangle that could hold the minimum is
@@ -457,21 +448,14 @@ def mesh_distances(points, tris: np.ndarray) -> np.ndarray:
     """Exact distance from each row of *points* to the nearest triangle of *tris*.
 
     Each is the minimum of the Voronoi evaluation over every triangle, bit
-    for bit.  Up to ``_SCAN_PAIRS`` point-triangle pairs are all evaluated;
-    past that the evaluation runs only on the pairs that the
-    bounding-sphere bounds keep (:func:`_pruned_pairs`).  The pairs of all
-    points are gathered and evaluated ``_PAIR_ROWS`` at a time, then
-    reduced to each point's minimum.  ``inf`` for every point of an empty
-    mesh.
+    for bit, though it runs only on the pairs that the bounding-sphere
+    bounds keep (:func:`_pruned_pairs`).  The pairs of all points are
+    gathered and evaluated ``_PAIR_ROWS`` at a time, then reduced to each
+    point's minimum.  ``inf`` for every point of an empty mesh.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    count = tris.shape[0]
-    if count == 0 or len(points) == 0:
+    if len(tris) == 0 or len(points) == 0:
         return np.full(len(points), math.inf)
-    if len(points) * count <= _SCAN_PAIRS:
-        dist = _triangle_distances(np.repeat(points, count, axis=0),
-                                   np.tile(tris, (len(points), 1, 1)))
-        return dist.reshape(-1, count).min(axis=1)
     rows, cols = _pruned_pairs(points, tris)
     # Each row is evaluated on its own, so where the batches split the
     # pairs does not change a bit.

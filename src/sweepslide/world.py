@@ -13,14 +13,12 @@ The world also keeps every triangle's box and plane as float64 arrays, so
 the triangles a sweep may touch can be cut down by sound filters before
 any reaches the scalar narrowphase, and its vertices as one ``(n, 3, 3)``
 float64 block for the exhaustive audit, which reads no grid but shares the
-bounding spheres' one implementation (:func:`_bounding_spheres`).  Each
-sweep takes one of three paths.  A sweep over a world of at most
-``SCAN_WORLD_TRIANGLES`` triangles whose box spans at least one cell per
-``SCAN_TRIANGLES_PER_CELL`` of them skips the grid: a long sweep over a
-small world visits more cells than a scan of every triangle costs.  Every
-triangle then goes through one Python-float loop over per-triangle rows,
-each made when first read: an exact box test, a plane slab and a capsule
-test against the triangle's sphere.  Any other sweep asks the grid, and a
+bounding spheres' one implementation (:func:`_bounding_spheres`).  The
+world's size alone picks a sweep's path.  A world of at most
+``SCAN_WORLD_TRIANGLES`` triangles is scanned: every triangle goes through
+one Python-float loop over per-triangle rows, each made when first read:
+an exact box test, a plane slab and a capsule test against the
+triangle's sphere.  A larger world asks the grid for every sweep, and a
 grid answer of at most ``SCALAR_FILTER_CANDIDATES`` triangles goes through
 the same loop, since numpy's cost per call outweighs its cost per triangle
 there.  A longer answer is box-tested with numpy over the arrays, then
@@ -81,31 +79,32 @@ SLAB_MARGIN = 1.0 + SWEEP_BOX_SLACK
 # 2-core host, over a 20,000-triangle heightfield's sweeps, the loop beat
 # numpy up to about 50 triangles once its rows existed (10 against 15 us at
 # 25 to 32), but each row costs about 1 us and 0.4 KB to make, and with
-# fresh rows numpy won from 25 triangles up.  At 32, 99.5 % of the
-# 40-triangle soups' queries and 80 % of a 3,000-triangle soup's take the
-# loop, and the heightfield's (median 90 triangles) keep numpy.  The
-# sphere test made the soups' sweeps faster (41 % fewer narrowphase calls)
-# but the heightfield's slower, so it stays on this side of the cut.
+# fresh rows numpy won from 25 triangles up.  At 32, 80 % of a
+# 3,000-triangle soup's queries take the loop, and the heightfield's
+# (median 90 triangles) keep numpy.  The sphere test made the 40-triangle
+# fuzz soups' sweeps faster when they took the grid (41 % fewer
+# narrowphase calls) but the heightfield's slower, so it stays on this
+# side of the cut.
 SCALAR_FILTER_CANDIDATES = 32
 
-# A sweep over a world of at most SCAN_WORLD_TRIANGLES triangles whose box
-# spans at least one grid cell per SCAN_TRIANGLES_PER_CELL triangles skips
-# the grid, and every row goes through the Python-float loop: visiting that
-# many cells costs more than the rows.  On a 2-core host, a round of 2,000
-# improved frames over the 40-triangle fuzz soups took (median of 15) 99 ms
-# with no scan, 86 ms at 4 triangles per cell, 87 at 8, 81 at 16, 81 at 32
-# and 85 with every sweep scanned; at 2 it gained nothing.  At 16, 90 % of
-# those soups' sweeps scan.
-SCAN_TRIANGLES_PER_CELL = 16
-
-# A scan makes every row the world has not made yet, about 1.7 us and 0.45 KB
-# each, and costs time in proportion to the world.  Over random soups of 40
-# to 4,096 triangles, on the long sweeps the rule above scans, a warm scan
-# plus the narrowphase took 0.70 to 0.97 times the grid's time, but the
-# first sweep across a 20,000-triangle heightfield, from (5, 5, 4) to
-# (95, 95, 3), took 50 ms when scanned (2 ms warm) against 0.2 ms on the
-# grid.  At 1,024 a first scan makes at most about 2 ms and 0.45 MB of rows.
-SCAN_WORLD_TRIANGLES = 1024
+# Every sweep over a world of at most this many triangles skips the grid and
+# sends every row through the Python-float loop; every sweep over a larger
+# world asks the grid.  A scan costs time in proportion to the world, and
+# its first one makes every row, about 1.7 us and 0.45 KB each.  On a 2-core
+# host, over five random soups of n triangles in [-e, e]^3 with e = 8
+# (n / 40)^(1/3), 2,000 warm check_collision calls each, a scan took this
+# many times the grid's time (best of 9):
+#     n               40    48    56    64    80    96   128   256
+#     0-6 units     0.89  0.92  0.98  1.05  1.18  1.24  1.30  2.03
+#     0.2-2 units   0.94  1.02  1.12  1.15  1.36  1.29  1.52  2.65
+# With e = 8 throughout, the long sweeps broke even at 64 (1.00) too.  At
+# 64 the 40-triangle fuzz soups and the builtin meshes scan, and the
+# benchmark's 3,000-triangle soup and 20,000-triangle terrain take the
+# grid.  A sweep across a soup of 65 to 1,024 triangles (0 to 2e units)
+# would scan in 0.67 to 0.82 times the grid's time, but no workload makes
+# such sweeps over such worlds, and picking them out costs every other
+# sweep a cell count.
+SCAN_WORLD_TRIANGLES = 64
 
 Bounds = tuple[Vec3, Vec3]
 
@@ -125,16 +124,6 @@ def _cell_range(bounds: Bounds, size: float) -> tuple[range, range, range]:
         range(math.floor(lo[1] / size), math.floor(hi[1] / size) + 1),
         range(math.floor(lo[2] / size), math.floor(hi[2] / size) + 1),
     )
-
-
-def _cell_count(ranges: tuple[range, range, range]) -> int:
-    """How many cells :func:`_cell_range`'s *ranges* hold.
-
-    Python ints, not ``len(range)``: a long finite box has more cells than
-    ``len()`` can return.
-    """
-    rx, ry, rz = ranges
-    return (rx.stop - rx.start) * (ry.stop - ry.start) * (rz.stop - rz.start)
 
 
 def _cell_entries(lo: np.ndarray, hi: np.ndarray, size: float) -> float:
@@ -242,8 +231,10 @@ class World:
         Guaranteed a superset of the exact AABB-overlap set; deduplicated
         and ascending.
         """
-        rx, ry, rz = ranges = _cell_range(bounds, self._cell_size)
-        if _cell_count(ranges) > len(self._cells):
+        rx, ry, rz = _cell_range(bounds, self._cell_size)
+        # Python ints, not len(range): a long finite box has more cells than
+        # len() can return.
+        if (rx.stop - rx.start) * (ry.stop - ry.start) * (rz.stop - rz.start) > len(self._cells):
             # Huge query box: the exact scan is cheaper than its cells.
             return self.brute_force_indices(bounds)
         cells = self._cells
@@ -269,10 +260,10 @@ class World:
         the plane ``n.x = n.a`` is ``(n*r).p = n.a``, so the margin is
         scaled by ``|n*r|``.
 
-        A world of at most ``SCAN_WORLD_TRIANGLES`` triangles is not asked
-        for its grid answer when the box spans at least one cell per
-        ``SCAN_TRIANGLES_PER_CELL`` triangles; every triangle is filtered
-        instead.  Every triangle so scanned, or a grid answer of at most
+        A world of at most ``SCAN_WORLD_TRIANGLES`` triangles is never
+        asked for its grid answer, whatever the sweep: every triangle is
+        filtered instead.  A larger world is always asked.  Every triangle
+        so scanned, or a grid answer of at most
         ``SCALAR_FILTER_CANDIDATES`` triangles, is filtered in one Python
         loop over per-triangle rows, which also drops a triangle when the
         closest point of the segment to its sphere's centre lies farther
@@ -296,10 +287,8 @@ class World:
             start = (start[0] * rx, start[1] * ry, start[2] * rz)
             end = (end[0] * rx, end[1] * ry, end[2] * rz)
             reach = SLAB_MARGIN * max(radii)
-        count = len(self._rows)
-        if (count <= SCAN_WORLD_TRIANGLES and count <= SCAN_TRIANGLES_PER_CELL
-                * _cell_count(_cell_range((lo, hi), self._cell_size))):
-            found = range(count)
+        if len(self._rows) <= SCAN_WORLD_TRIANGLES:
+            found = range(len(self._rows))
         else:
             found = self.query_candidates((lo, hi))
             if len(found) > SCALAR_FILTER_CANDIDATES:

@@ -5,9 +5,7 @@ audit only skips triangles that its bounding-sphere bounds prove cannot
 hold the minimum.  A mesh of more than ``_BLOCK_ROWS`` triangles also goes
 through the chunk level, whose pairs must be those of the triangle-level
 bound over the whole mesh; ``chunked`` reruns cases with ``_BLOCK_ROWS``
-made small, so that the chunk level meets them.  Up to ``_SCAN_PAIRS``
-point-triangle pairs skip the bounds; ``pruned`` sets it to 0, so that the
-bounds meet the small cases built to test them.
+made small, so that the chunk level meets them.
 """
 
 import numpy as np
@@ -102,12 +100,6 @@ def chunked(monkeypatch):
     monkeypatch.setattr(scenario, "_BLOCK_ROWS", 64)
 
 
-@pytest.fixture
-def pruned(monkeypatch):
-    """``_SCAN_PAIRS`` cut to 0, so that every audit goes through the bounds."""
-    monkeypatch.setattr(scenario, "_SCAN_PAIRS", 0)
-
-
 def _padded(p, tris, rng):
     """*tris* and 94 small triangles 10 to 30 units from the point *p*: 96 in all."""
     directions = rng.normal(size=(94, 3))
@@ -155,38 +147,27 @@ def _tight_mismatches(offsets, padded: bool) -> int:
 
 
 @pytest.mark.parametrize("offset", OFFSETS)
-def test_matches_where_the_bound_is_tight(pruned, offset):
+def test_matches_where_the_bound_is_tight(offset):
     assert _tight_mismatches([offset], padded=False) == 0
 
 
 @pytest.mark.parametrize("offset", OFFSETS)
-def test_chunked_matches_where_the_bound_is_tight(chunked, pruned, offset):
+def test_chunked_matches_where_the_bound_is_tight(chunked, offset):
     assert _tight_mismatches([offset], padded=True) == 0
 
 
-def test_a_small_audit_evaluates_every_pair(monkeypatch):
-    # 1 to 4 points on a 40-triangle soup: up to _SCAN_PAIRS pairs are all
-    # evaluated, with no bounds, and every distance keeps its bits.
+def test_a_small_audit_evaluates_every_pair():
+    # 1 to 5 points, one of them NaN, on a 40-triangle soup: every distance
+    # keeps the bits of a scan of every pair.
     soup = build_world(builtin_mesh("random_soup", n=40, seed=1000, extent=8.0)).vertices
-    bounded = []
-    pairs = scenario._pruned_pairs
-
-    def counted(points, tris):
-        bounded.append(len(points))
-        return pairs(points, tris)
-
-    monkeypatch.setattr(scenario, "_pruned_pairs", counted)
     for offset in OFFSETS:
         tris = soup + offset
         points = _probe_points(tris, np.random.default_rng(12), 1)
         points[1] = (np.nan, 0.0, 0.0)
         for count in range(1, len(points) + 1):
-            del bounded[:]
             got = mesh_distances(points[:count], tris)
             want = _scan(points[:count], tris)
             assert (got.view(np.uint64) == want.view(np.uint64)).all()
-            assert bounded == ([] if count * len(tris) <= scenario._SCAN_PAIRS else [count])
-    assert 3 * len(soup) <= scenario._SCAN_PAIRS < 4 * len(soup)
 
 
 def test_empty_mesh_and_single_point():
@@ -344,7 +325,7 @@ def _copies(offset: float):
     return np.full((1, 3), offset), tris + offset
 
 
-def test_chunk_level_keeps_a_run_within_its_margin(monkeypatch, pruned):
+def test_chunk_level_keeps_a_run_within_its_margin(monkeypatch):
     monkeypatch.setattr(scenario, "_BLOCK_ROWS", 32)
     point, tris = _copies(1e8)
     rows, cols = scenario._pruned_pairs(point, tris)
@@ -360,12 +341,12 @@ def test_chunk_level_keeps_a_run_within_its_margin(monkeypatch, pruned):
 
 # The cases above must catch a prune that drops a triangle it cannot rule out.
 
-def test_cases_catch_a_prune_without_margin(monkeypatch, pruned):
+def test_cases_catch_a_prune_without_margin(monkeypatch):
     monkeypatch.setattr(scenario, "_PRUNE_MARGIN", 0.0)
     assert _tight_mismatches(OFFSETS, padded=False) > 0
 
 
-def test_chunked_cases_catch_a_prune_without_margin(monkeypatch, chunked, pruned):
+def test_chunked_cases_catch_a_prune_without_margin(monkeypatch, chunked):
     monkeypatch.setattr(scenario, "_PRUNE_MARGIN", 0.0)
     assert _tight_mismatches(OFFSETS, padded=True) > 0
 

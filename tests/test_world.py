@@ -20,7 +20,6 @@ from sweepslide.world import (
     MAX_CELLS_PER_TRIANGLE,
     MAX_TRIANGLE_EXTENT,
     SCALAR_FILTER_CANDIDATES,
-    SCAN_TRIANGLES_PER_CELL,
     SCAN_WORLD_TRIANGLES,
     SLAB_MARGIN,
     SWEEP_BOX_SLACK,
@@ -37,8 +36,7 @@ def _scan_off():
 
 def _scan_on():
     """A patch that sends every ``sweep_indices`` call through the scan."""
-    return mock.patch.multiple(world_module, SCAN_WORLD_TRIANGLES=sys.maxsize,
-                               SCAN_TRIANGLES_PER_CELL=sys.maxsize)
+    return mock.patch.object(world_module, "SCAN_WORLD_TRIANGLES", sys.maxsize)
 
 
 def test_rejects_a_grid_too_large_to_build():
@@ -356,26 +354,16 @@ def _exact_scan(world, start, end, radii=None, spheres=True):
     return [i for i in world.brute_force_indices((lo, hi)) if keep[i]]
 
 
-def _scans(world, box):
-    """Whether ``sweep_indices`` scans every row for a sweep of *box*: the
-    world is small and the box spans a cell per ``SCAN_TRIANGLES_PER_CELL``
-    of its triangles."""
-    count, size = len(world.vertices), world.cell_size
-    cells = math.prod(math.floor(h / size) - math.floor(l / size) + 1 for l, h in zip(*box))
-    return (count <= world_module.SCAN_WORLD_TRIANGLES
-            and count <= world_module.SCAN_TRIANGLES_PER_CELL * cells)
-
-
 def _default_path(world, start, end, radii=None):
     """``_exact_scan`` of the path ``sweep_indices`` takes: the Python-float
-    one when it scans every row, or when the grid answers the sweep's box
-    with few enough triangles."""
+    one when the world is small enough to scan every row, or when the grid
+    answers the sweep's box with few enough triangles."""
     pad = 1.0 + SWEEP_BOX_SLACK
     box = [tuple(min(s, e) - pad for s, e in zip(start, end)),
            tuple(max(s, e) + pad for s, e in zip(start, end))]
     if radii is not None:
         box = [tuple(v * r for v, r in zip(p, radii)) for p in box]
-    short = (_scans(world, box)
+    short = (len(world.vertices) <= world_module.SCAN_WORLD_TRIANGLES
              or len(world.query_candidates(box)) <= world_module.SCALAR_FILTER_CANDIDATES)
     return _exact_scan(world, start, end, radii, spheres=short)
 
@@ -473,18 +461,21 @@ def _grid_queries(world, start, end):
 
 
 def test_only_a_world_within_the_cap_is_scanned():
-    # A sweep across the whole soup spans every cell of it.
-    start, end = (-20.0, -20.0, -20.0), (20.0, 20.0, 20.0)
+    # The world's size alone picks the path: a zero-length sweep, a short
+    # one and one across the whole soup each make no grid query on a world
+    # at the cap, and one on a world of one more triangle.
+    sweeps = [((1.0, 2.0, 3.0), (1.0, 2.0, 3.0)), ((1.0, 2.0, 3.0), (1.5, 1.6, 2.7)),
+              ((-20.0, -20.0, -20.0), (20.0, 20.0, 20.0))]
     for count, queries in ((SCAN_WORLD_TRIANGLES, 0), (SCAN_WORLD_TRIANGLES + 1, 1)):
         world = build_world(builtin_mesh("random_soup", n=count, seed=3, extent=16.0))
-        assert len(world._cells) * SCAN_TRIANGLES_PER_CELL >= count
-        assert _grid_queries(world, start, end) == (_default_path(world, start, end), queries)
+        for start, end in sweeps:
+            assert _grid_queries(world, start, end) == (_default_path(world, start, end), queries)
 
 
 def test_a_long_sweep_over_a_large_world_never_scans():
     # The 20,000 triangles of a 100 x 100 heightfield of unit quads, and a
-    # sweep along its diagonal whose box spans 25 x 25 x 2 cells: one per
-    # 16 triangles, which would scan every row were the world not capped.
+    # sweep along its diagonal whose box spans 25 x 25 x 2 cells: however
+    # long the sweep, a world past the cap takes the grid.
     i, j = np.meshgrid(np.arange(101.0), np.arange(101.0), indexing="ij")
     z = np.sin(0.31 * i) * np.cos(0.23 * j) + 0.8 * np.sin(0.11 * (i + j))
     corner = np.stack((i, j, z), axis=-1)
